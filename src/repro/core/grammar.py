@@ -110,30 +110,52 @@ class CompressedCorpus:
         """Check structural sanity of the grammar.
 
         Raises:
-            GrammarError: on dangling rule references, out-of-range word
-                ids, separators outside the root, or an empty grammar.
+            GrammarError: on dangling rule references, reference cycles,
+                out-of-range word ids, separators outside the root, or an
+                empty grammar.
         """
         if not self.rules:
             raise GrammarError("corpus has no rules")
+        n_rules = len(self.rules)
+        n_words = len(self.vocab)
+        indegree = [0] * n_rules  # references to each rule, for the cycle check
         for idx, body in enumerate(self.rules):
             for symbol in body:
-                if is_rule_ref(symbol):
-                    target = rule_index(symbol)
-                    if not 0 <= target < len(self.rules):
+                if symbol >= RULE_BASE:
+                    target = symbol - RULE_BASE
+                    if target >= n_rules:
                         raise GrammarError(
                             f"rule {idx} references missing rule {target}"
                         )
                     if target == idx:
                         raise GrammarError(f"rule {idx} references itself")
-                elif is_separator(symbol):
+                    indegree[target] += 1
+                elif symbol >= SEP_BASE:
                     if idx != 0:
                         raise GrammarError(
                             f"separator inside non-root rule {idx}"
                         )
-                elif not 0 <= symbol < len(self.vocab):
+                elif not 0 <= symbol < n_words:
                     raise GrammarError(
                         f"rule {idx} contains out-of-range word id {symbol}"
                     )
+        # A reference cycle (R1 -> R2 -> R1) would make expansion loop
+        # forever.  Kahn's algorithm: repeatedly retire rules nothing
+        # unretired references; any rule left over sits on a cycle.
+        ready = [idx for idx in range(n_rules) if not indegree[idx]]
+        retired = 0
+        while ready:
+            retired += 1
+            for symbol in self.rules[ready.pop()]:
+                if symbol >= RULE_BASE:
+                    target = symbol - RULE_BASE
+                    indegree[target] -= 1
+                    if not indegree[target]:
+                        ready.append(target)
+        if retired != n_rules:
+            raise GrammarError(
+                f"reference cycle among {n_rules - retired} rules"
+            )
         n_separators = sum(1 for s in self.rules[0] if is_separator(s))
         if n_separators != len(self.file_names):
             raise GrammarError(

@@ -46,9 +46,9 @@ class TadocCompressor:
             raise GrammarError("compressor already frozen")
         file_index = len(self._file_names)
         self._file_names.append(name)
-        for word_id in self.dictionary.encode(tokenize(text, self.token_mode)):
-            self._sequitur.push(word_id)
-        self._sequitur.push(SEP_BASE + file_index)
+        ids = self.dictionary.encode(tokenize(text, self.token_mode))
+        ids.append(SEP_BASE + file_index)
+        self._sequitur.push_all(ids)
 
     def freeze(self) -> CompressedCorpus:
         """Finalize the grammar and return the immutable corpus."""

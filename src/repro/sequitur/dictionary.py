@@ -46,17 +46,19 @@ class Dictionary:
 
     def add(self, word: str) -> int:
         """Return the id for ``word``, assigning a new one if unseen."""
-        existing = self._word_to_id.get(word)
-        if existing is not None:
-            return existing
-        word_id = len(self._id_to_word)
-        self._word_to_id[word] = word_id
-        self._id_to_word.append(word)
-        return word_id
+        return self.encode((word,))[0]
 
     def encode(self, words: Iterable[str]) -> list[int]:
         """Encode a word sequence, growing the dictionary as needed."""
-        return [self.add(word) for word in words]
+        ids = []
+        word_to_id = self._word_to_id
+        for word in words:
+            word_id = word_to_id.get(word)
+            if word_id is None:
+                word_id = word_to_id[word] = len(self._id_to_word)
+                self._id_to_word.append(word)
+            ids.append(word_id)
+        return ids
 
     def id_of(self, word: str) -> int:
         """Return the id of a known word.
@@ -87,6 +89,5 @@ class Dictionary:
     def from_words(cls, words: Iterable[str]) -> "Dictionary":
         """Build a dictionary whose ids follow the given word order."""
         dictionary = cls()
-        for word in words:
-            dictionary.add(word)
+        dictionary.encode(words)
         return dictionary

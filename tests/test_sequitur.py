@@ -1,10 +1,16 @@
 """Unit and property tests for the Sequitur algorithm."""
 
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.profiles import dataset_files
+from repro.sequitur import serialization
+from repro.sequitur.compressor import TadocCompressor, compress_files
+from repro.sequitur.dictionary import Dictionary
 from repro.sequitur.sequitur import Sequitur
 
 
@@ -140,3 +146,78 @@ def test_property_binary_streams(tokens):
     seq = build(tokens)
     assert seq.expand() == tokens
     seq.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# Golden digests: Sequitur's decisions, pinned
+# ---------------------------------------------------------------------------
+#
+# Every digest below was captured from the linked-symbol implementation
+# that predates the cached-key representation.  Grammar inference is
+# deterministic, so any drift means Sequitur made a different decision
+# somewhere -- and a different grammar changes every downstream corpus,
+# pool image and simulated nanosecond.  These digests are the oracle; no
+# second implementation is kept to compare against.
+
+GOLDEN_PROFILES = {
+    "A": "ab9dd961613da31c",
+    "B": "571a5cb0a308036c",
+    "C": "e6741d26c620e7ed",
+    "D": "0544f332c79cbd2c",
+}
+GOLDEN_CHARS = "451760eb3d8f4dd0"
+GOLDEN_SHARED_DICTIONARY = ("ee8cc92622fc75b5", "1abfe6929f747842")
+GOLDEN_TRIPLE_REPEAT = "3d2cb880e3f4de6b"
+GOLDEN_RANDOM_STREAMS = "baf6f9a1862a9640"
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _corpus_digest(corpus) -> str:
+    return hashlib.sha256(serialization.serialize(corpus)).hexdigest()[:16]
+
+
+def _random_streams(count=200, seed=2024):
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = rng.randint(2, 30)
+        length = rng.randint(0, 400)
+        yield [rng.randrange(alphabet) for _ in range(length)]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("profile", sorted(GOLDEN_PROFILES))
+    def test_profiles(self, profile):
+        corpus = compress_files(dataset_files(profile, 0.1))
+        assert _corpus_digest(corpus) == GOLDEN_PROFILES[profile]
+
+    def test_chars_mode(self):
+        corpus = compress_files(dataset_files("C", 0.02), token_mode="chars")
+        assert _corpus_digest(corpus) == GOLDEN_CHARS
+
+    def test_two_chunks_share_one_dictionary(self):
+        """The ingest seal shape: chunks compressed separately, word ids
+        kept stable by one shared dictionary."""
+        files = dataset_files("B", 0.1)
+        shared = Dictionary()
+        digests = []
+        for chunk in (files[: len(files) // 2], files[len(files) // 2 :]):
+            compressor = TadocCompressor(dictionary=shared)
+            for name, text in chunk:
+                compressor.add_file(name, text)
+            digests.append(_corpus_digest(compressor.freeze()))
+        assert tuple(digests) == GOLDEN_SHARED_DICTIONARY
+
+    def test_triple_repeat_stream(self):
+        seq = build([2, 1, 1, 1, 2, 1, 0, 1, 1])
+        assert _digest(seq.freeze()) == GOLDEN_TRIPLE_REPEAT
+
+    def test_random_streams(self):
+        frozen = []
+        for tokens in _random_streams():
+            seq = build(tokens)
+            assert seq.expand() == tokens
+            frozen.append(seq.freeze())
+        assert _digest(frozen) == GOLDEN_RANDOM_STREAMS

@@ -6,9 +6,17 @@ A corrupted or truncated artifact must always surface as
 exception, hang, or silently wrong corpus.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.grammar import RULE_BASE, SEP_BASE, CompressedCorpus
 from repro.errors import CorruptDataError, GrammarError
 from repro.sequitur import serialization
 from repro.sequitur.compressor import compress_files
@@ -77,3 +85,51 @@ def test_insertion_corruption_never_crashes(splice_at, inserted):
     except (CorruptDataError, GrammarError):
         return
     corpus.validate()
+
+
+def cyclic_blob(cycle_length: int) -> bytes:
+    """A well-formed blob whose rules R1 -> R2 -> ... -> R1 form a cycle.
+
+    Each rule passes the per-symbol checks (no self-reference, no
+    dangling reference), so only a cycle check can reject it.
+    """
+    rules = [[RULE_BASE + 1, SEP_BASE]]
+    for i in range(1, cycle_length + 1):
+        rules.append([RULE_BASE + i % cycle_length + 1, 0])
+    corpus = CompressedCorpus(rules=rules, vocab=["w"], file_names=["f"])
+    return serialization.serialize(corpus)
+
+
+@pytest.mark.parametrize("cycle_length", [2, 3])
+def test_reference_cycles_are_rejected(cycle_length):
+    with pytest.raises(GrammarError, match="cycle"):
+        serialization.deserialize(cyclic_blob(cycle_length))
+
+
+def test_unreachable_cycle_is_rejected():
+    corpus = CompressedCorpus(
+        rules=[[0, SEP_BASE], [RULE_BASE + 2, 0], [RULE_BASE + 1, 0]],
+        vocab=["w"],
+        file_names=["f"],
+    )
+    with pytest.raises(GrammarError, match="cycle"):
+        corpus.validate()
+
+
+def test_decompress_of_cyclic_corpus_fails_promptly(tmp_path):
+    """Expansion of a cyclic grammar never terminates, so the CLI must
+    refuse the file at load time rather than hang."""
+    path = tmp_path / "bad.ntdc"
+    path.write_bytes(cyclic_blob(2))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "decompress", str(path),
+         "-d", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode != 0
+    assert "cycle" in proc.stderr
