@@ -1,7 +1,7 @@
-"""Wall-clock guard for the batched device access layer.
+"""Wall-clock guard for the fast device access path.
 
-The run-partitioned fast path (``SimulatedMemory(batched=True)``, the
-default) exists purely to make the simulator cheap to execute; its
+The run-partitioned fast path (the ``SimulatedMemory`` default; the
+per-line reference loop is ``reference=True``) exists purely to make the simulator cheap to execute; its
 simulated time is bit-identical to the per-line reference loop
 (``tests/test_batch_equivalence.py`` proves that).  This guard pins the
 *wall-clock* half of the contract: replaying the same multi-line
@@ -46,9 +46,9 @@ def _workload(mem: SimulatedMemory) -> None:
     mem.flush()
 
 
-def _timed(batched: bool) -> tuple[float, float]:
+def _timed(reference: bool) -> tuple[float, float]:
     mem = SimulatedMemory(
-        DeviceProfile.nvm(), _SIZE, cache_bytes=_CACHE, batched=batched
+        DeviceProfile.nvm(), _SIZE, cache_bytes=_CACHE, reference=reference
     )
     start = time.perf_counter()
     _workload(mem)
@@ -61,10 +61,10 @@ def test_batched_path_faster_same_simulated_time():
     ref_wall, fast_wall = float("inf"), float("inf")
     ref_ns = fast_ns = None
     for _ in range(3):
-        wall, ns = _timed(batched=False)
+        wall, ns = _timed(reference=True)
         ref_wall = min(ref_wall, wall)
         ref_ns = ns
-        wall, ns = _timed(batched=True)
+        wall, ns = _timed(reference=False)
         fast_wall = min(fast_wall, wall)
         fast_ns = ns
 

@@ -36,7 +36,6 @@ from repro.core.grammar import CompressedCorpus
 from repro.core.pruning import PrunedDag
 from repro.core.summation import head_tail_lists, summate_all
 from repro.errors import MediaError, OutOfMemoryError, ReproError
-from repro.kernels import KERNEL_MODES
 from repro.metrics.ledger import MemoryLedger
 from repro.metrics.timer import PhaseTimeline
 from repro.nvm.device import DeviceProfile
@@ -110,11 +109,11 @@ class EngineConfig:
     op_batch: int = 8
     scattered_layout: bool = False
     growable_structures: bool = False
-    #: Bulk-kernel backend for the simulated memories: "auto" (numpy when
-    #: available, else pure python), "numpy", "python", or "off" (scalar
-    #: reference loops).  Simulated time/stats are bit-identical across
-    #: all modes; only wall-clock changes.  See docs/kernels.md.
-    kernels: str = "auto"
+    #: Fast access path for the simulated memories (the default).
+    #: ``False`` builds reference memories: per-line charging, no
+    #: kernels.  Simulated time/stats are bit-identical either way; only
+    #: wall-clock changes.  See docs/kernels.md.
+    kernels: bool = True
     tracer: Any = field(default=None, compare=False, repr=False)
     #: Arm end-to-end media protection: the pool saves as layout v3, a
     #: :class:`~repro.nvm.scrub.MediaGuard` CRC-seals every persisted
@@ -142,10 +141,8 @@ class EngineConfig:
             raise ValueError(f"unknown persistence {self.persistence!r}")
         if self.traversal not in ("auto", "topdown", "bottomup"):
             raise ValueError(f"unknown traversal {self.traversal!r}")
-        if self.kernels not in KERNEL_MODES:
-            raise ValueError(
-                f"unknown kernels mode {self.kernels!r}; expected one of {KERNEL_MODES}"
-            )
+        if not isinstance(self.kernels, bool):
+            raise ValueError(f"kernels must be a bool, not {self.kernels!r}")
 
     @property
     def use_scattered_layout(self) -> bool:
@@ -431,13 +428,17 @@ class NTadocEngine:
             clock,
             cache_bytes=cache_bytes,
             name="pool",
-            kernels=config.kernels,
+            reference=not config.kernels,
             track_wear=config.track_wear,
         )
         if fault_plan is not None:
             pool_mem.arm_faults(fault_plan)
         dram_mem = SimulatedMemory(
-            DeviceProfile.dram(), 1 << 24, clock, name="dram-scratch", kernels=config.kernels
+            DeviceProfile.dram(),
+            1 << 24,
+            clock,
+            name="dram-scratch",
+            reference=not config.kernels,
         )
         dram_alloc = PoolAllocator(dram_mem, base=0, capacity=dram_mem.size)
         pool = NvmPool(
@@ -482,7 +483,11 @@ class NTadocEngine:
         pool_mem.disarm_faults()
         clock = pool_mem.clock
         dram_mem = SimulatedMemory(
-            DeviceProfile.dram(), 1 << 24, clock, name="dram-scratch", kernels=config.kernels
+            DeviceProfile.dram(),
+            1 << 24,
+            clock,
+            name="dram-scratch",
+            reference=not config.kernels,
         )
         dram_alloc = PoolAllocator(dram_mem, base=0, capacity=dram_mem.size)
         self._attach_observability(clock, pool_mem, pool)

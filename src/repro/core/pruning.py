@@ -237,10 +237,10 @@ class PrunedDag:
                 entry_top += len(flat) * 4
                 raw_top += len(body) * 4
             if entry_blob:
-                mem.write_batch(dag_off, entry_blob)
+                mem.write(dag_off, entry_blob)
             if raw_blob:
-                mem.write_batch(raw_off, raw_blob)
-            mem.write_batch(meta_off, meta_blob)
+                mem.write(raw_off, raw_blob)
+            mem.write(meta_off, meta_blob)
         else:
             # Algorithm 1's pool_top pointers for the two write streams.
             if not per_rule:
@@ -334,7 +334,7 @@ class PrunedDag:
         """
         if self.indexed_layout:
             return [self.meta(rule)[5] for rule in range(self.n_rules)]
-        raw = self._mem.read_batch(self._meta_off, self.n_rules * META_RECORD_SIZE)
+        raw = self._mem.read(self._meta_off, self.n_rules * META_RECORD_SIZE)
         return [record[5] for record in _META.iter_unpack(raw)]
 
     def weight(self, rule: int) -> int:
@@ -387,11 +387,11 @@ class PrunedDag:
                 self.set_weight(rule, 0)
             return
         n = self.n_rules
-        region = bytearray(self._mem.read_batch(self._meta_off, n * META_RECORD_SIZE))
+        region = bytearray(self._mem.read(self._meta_off, n * META_RECORD_SIZE))
         zero = bytes(8)
         for off in range(40, n * META_RECORD_SIZE, META_RECORD_SIZE):
             region[off : off + 8] = zero
-        self._mem.write_batch(self._meta_off, region)
+        self._mem.write(self._meta_off, region)
 
     # ------------------------------------------------------------------
     # Entry access

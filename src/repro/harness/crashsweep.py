@@ -79,9 +79,9 @@ class SweepConfig:
             compaction scenario.
         integrity_rules: DAG rules spot-checked against the source
             grammar after each engine recovery.
-        kernels: Bulk-kernel mode for the engine scenario (one of
-            ``repro.kernels.KERNEL_MODES``).  Reports are bit-identical
-            across modes; sweeping with kernels active exercises their
+        kernels: ``EngineConfig.kernels`` for the engine scenario
+            (``False`` = reference memories).  Reports are bit-identical
+            either way; sweeping with kernels active exercises their
             stand-down when a fault plan arms and the resume paths over
             kernel-written pools.
     """
@@ -96,7 +96,7 @@ class SweepConfig:
     ingest_write_points: int | None = 12
     ingest_torn_points: int = 4
     integrity_rules: int = 3
-    kernels: str = "auto"
+    kernels: bool = True
 
     @staticmethod
     def smoke(seed: int = 20240817) -> "SweepConfig":

@@ -158,7 +158,7 @@ class SegmentedEngine:
             self.clock,
             cache_bytes=self.config.cache_bytes,
             name="pool",
-            kernels=self.config.kernels,
+            reference=not self.config.kernels,
             track_wear=self.config.track_wear,
         )
         self.pool = NvmPool(
@@ -202,7 +202,7 @@ class SegmentedEngine:
             1 << 24,
             self.clock,
             name="dram-scratch",
-            kernels=self.config.kernels,
+            reference=not self.config.kernels,
         )
         self.pool.flush()
 
@@ -650,7 +650,7 @@ class SegmentedEngine:
             1 << 24,
             engine.clock,
             name="dram-scratch",
-            kernels=engine.config.kernels,
+            reference=not engine.config.kernels,
         )
         engine.pool.flush()
         return engine

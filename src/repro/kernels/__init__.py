@@ -1,78 +1,39 @@
-"""Vectorized zero-copy kernels for the simulated-memory hot paths.
+"""Zero-copy kernels for the simulated-memory hot paths.
 
 This package is the only layer allowed to touch ``SimulatedMemory._buf``
-through ``np.frombuffer``/``memoryview`` views (enforced by nvmlint rule
-ND007).  Every kernel obeys the **charge-from-plan / execute-vectorized**
-split:
+through ``memoryview`` views (enforced by nvmlint rule ND007).  Every
+kernel obeys the **charge-from-plan / execute-vectorized** split:
 
 1. derive the access plan (which lines are touched, how many bytes move,
    which ops run) exactly as the scalar path would,
 2. charge simulated nanoseconds through the *existing* cost model --
    bit-identical to issuing the scalar calls one by one (held by ``==``
    assertions in ``tests/test_kernel_equivalence.py``),
-3. perform the data movement as one bulk ``memoryview.cast`` /
-   ``np.frombuffer`` operation instead of a per-element Python loop.
+3. perform the data movement through ``memoryview.cast`` views instead
+   of per-field ``int.to_bytes``/``int.from_bytes`` round-trips.
 
-Backend selection (see docs/kernels.md for the full matrix):
-
-* ``"auto"``  -- numpy-accelerated kernels when numpy imports and
-  ``REPRO_NO_NUMPY`` is unset; otherwise the pure-python kernels.
-* ``"numpy"`` -- require numpy (raise if unavailable).
-* ``"python"``-- stdlib-only kernels (``memoryview``/``array``); numpy
-  stays an optional dependency.
-* ``"off"``   -- no kernels: containers run their original scalar loops
-  (the charge *reference* the differential suite compares against).
-
+Kernels run on every memory built with the default
+``SimulatedMemory(reference=False)`` while :attr:`kernel_ready
+<repro.nvm.memory.SimulatedMemory.kernel_ready>` holds; a reference
+memory (``EngineConfig(kernels=False)``) runs the scalar loops instead.
 Simulated time, per-device stats, wear, and buffer images are identical
-in every mode; only wall-clock changes.
+either way; only wall-clock changes.  See docs/kernels.md.
 """
 
 from __future__ import annotations
 
-import os
+import sys
 
 from repro.kernels.core import Kernels, typed_array
 
-KERNEL_MODES = ("auto", "numpy", "python", "off")
-
-#: Module default used when a memory is created without an explicit mode.
-DEFAULT_MODE = "auto"
-
 
 def numpy_or_none():
-    """Import numpy if available and not disabled via REPRO_NO_NUMPY."""
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        return None
-    return numpy
+    """The numpy module if the process already imported it, else ``None``.
 
-
-def make(mem, mode: str | None = None) -> Kernels | None:
-    """Build the kernel set for ``mem``, or ``None`` for mode ``"off"``.
-
-    Args:
-        mem: The :class:`~repro.nvm.memory.SimulatedMemory` to bind.
-        mode: One of :data:`KERNEL_MODES`; ``None`` means
-            :data:`DEFAULT_MODE`.
+    The kernels never use numpy; this only reports its version in
+    environment stamps.  It imports nothing.
     """
-    if mode is None:
-        mode = DEFAULT_MODE
-    if mode not in KERNEL_MODES:
-        raise ValueError(f"unknown kernels mode {mode!r}; expected one of {KERNEL_MODES}")
-    if mode == "off":
-        return None
-    np_mod = None
-    if mode in ("auto", "numpy"):
-        np_mod = numpy_or_none()
-        if np_mod is None and mode == "numpy":
-            raise RuntimeError(
-                "kernels='numpy' requested but numpy is unavailable "
-                "(or disabled via REPRO_NO_NUMPY)"
-            )
-    return Kernels(mem, np_mod)
+    return sys.modules.get("numpy")
 
 
-__all__ = ["KERNEL_MODES", "DEFAULT_MODE", "Kernels", "make", "numpy_or_none", "typed_array"]
+__all__ = ["Kernels", "numpy_or_none", "typed_array"]

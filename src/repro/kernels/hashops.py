@@ -13,16 +13,22 @@ sets) is hoisted into locals, and slot data moves through zero-copy
 
 The caller guarantees (see ``PHashTable._kernel_ok``):
 
-* batched cost model, no fault plan armed, no pending read corruption
-  (those run the scalar reference path),
+* ``mem.kernel_ready``: not a reference memory, no fault plan armed, no
+  trace recorder, no integrity mirror (those run the scalar path),
 * non-growable table (the naive baseline keeps faithful scalar costs),
 * 8-aligned key/value buffers and ``line_size`` a multiple of 8 and
   greater than 8, so every 8-byte field access stays within one device
   line and is never a whole-line write.
 
-Charge blocks below are transliterations of the single-line fast paths
-of ``SimulatedMemory.read_uint`` / ``write_uint`` / ``rmw_add``; keep
-them in lockstep with ``repro/nvm/memory.py``.
+``probe_batch`` is one of the two hoisted hot loops (with
+``SimulatedMemory.rmw_add_each``) that copy the single-line rules of
+``SimulatedMemory.read`` / ``write`` instead of calling them: a probe
+costs a handful of one-line field accesses, and the call chain per
+access would cost more wall-clock than the whole charge.  Keep its
+charge blocks in lockstep with ``repro/nvm/memory.py``; the Hypothesis
+programs in ``tests/test_kernel_equivalence.py`` replay every batch mode
+against a reference memory and compare with ``==``.  ``scan_chunks``
+charges through the memory's own span rule and needs no copy.
 """
 
 from __future__ import annotations
@@ -97,117 +103,47 @@ def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = 512):
 
     Charge-identical to the scalar ``PHashTable.items`` scan: per chunk,
     one bulk status read, and -- only when the chunk holds occupied
-    slots -- one bulk key read and one bulk value read.  Each bulk read
-    is charged with the span pipeline of ``SimulatedMemory.read``
-    (``_touch_batch`` with ``dirty=False``), driven by the real
-    ``LineCache.access_many`` so LRU evolution is exact.  Charges land
-    before each ``yield``, so a partial drain leaves the same simulator
-    state as a partial drain of the scalar generator.
-
-    Data moves through the cached zero-copy views instead of
-    ``mem.read`` copies, and occupied slots are gathered with numpy when
-    available.
+    slots -- one bulk key read and one bulk value read, each charged by
+    :func:`charge_read`.  Charges land before each ``yield``, so a
+    partial drain leaves the same simulator state as a partial drain of
+    the scalar generator.  Data moves through the cached zero-copy views
+    instead of ``mem.read`` copies.
     """
     mem = kern.mem
-    np_mod = kern.np
     st_mv, k_mv, v_mv = table_views(kern, data_offset, capacity)
     key_base = data_offset + capacity
     value_base = data_offset + capacity * 9
-
-    (
-        line_size,
-        read_ns,
-        seq_read_ns,
-        write_ns,
-        seq_write_ns,
-        syscall,
-        clock,
-        stats,
-        cache,
-        _dirty_lines,
-        evict_programmed,
-        media,
-        wear,
-    ) = _consts(kern)
-    access_many = cache.access_many
-    media_add = media.add
-    ep_add = evict_programmed.add
-
-    def charge_read(offset: int, size: int) -> None:
-        # Transliteration of SimulatedMemory.read's batched span charge
-        # (_touch_batch, dirty=False branch) plus read-op accounting;
-        # keep in lockstep with repro/nvm/memory.py.
-        first = offset // line_size
-        last = (offset + size - 1) // line_size
-        n = last - first + 1
-        n_hits, miss_runs, evictions = access_many(first, last, False)
-        stats.cache_hits += n_hits
-        stats.cache_misses += n - n_hits
-        stats.lines_read += n
-        total = float(n_hits)
-        device = 0.0
-        if miss_runs:
-            lml = mem._last_media_line
-            prev_end = None
-            for run_start, run_len in miss_runs:
-                before = prev_end if prev_end is not None else lml
-                base = (
-                    seq_read_ns
-                    if before is not None and run_start == before + 1
-                    else read_ns
-                )
-                cost = base + (run_len - 1) * seq_read_ns + run_len * syscall
-                total += cost
-                device += cost
-                prev_end = run_start + run_len - 1
-            mem._last_media_line = prev_end
-        if evictions:
-            for at, victim in evictions:
-                cost = (seq_write_ns if victim == at + 1 else write_ns) + syscall
-                total += cost
-                device += cost
-                media_add(victim)
-                if wear is not None:
-                    wear[victim] = wear.get(victim, 0) + 1
-                ep_add(victim)
-            stats.writebacks += len(evictions)
-        if device:
-            stats.device_ns += device
-        clock.ns += total
-        stats.read_ops += 1
-        stats.bytes_read += size
-
     for start in range(0, capacity, chunk):
         n = min(chunk, capacity - start)
-        charge_read(data_offset + start, n)
+        charge_read(mem, data_offset + start, n)
         statuses = bytes(st_mv[start : start + n])
         if _OCCUPIED not in statuses:
             continue
-        charge_read(key_base + start * 8, n * 8)
-        charge_read(value_base + start * 8, n * 8)
-        end = start + n
-        # The numpy gather pays ~3 fixed array setups; the find loop is
-        # linear in the occupied count.  Crossover sits around a few
-        # dozen live slots, so sparse chunks (the common case in the
-        # bottom-up sweep's many small tables) stay on the find loop.
-        if np_mod is not None and statuses.count(1) >= 48:
-            idx = np_mod.flatnonzero(
-                np_mod.frombuffer(statuses, dtype=np_mod.uint8) == 1
-            )
-            keys = np_mod.asarray(k_mv[start:end])[idx].tolist()
-            vals = np_mod.asarray(v_mv[start:end])[idx].tolist()
-        else:
-            keys = []
-            vals = []
-            append_k = keys.append
-            append_v = vals.append
-            find = statuses.find
-            i = find(1)
-            while i >= 0:
-                append_k(k_mv[start + i])
-                append_v(v_mv[start + i])
-                i = find(1, i + 1)
+        charge_read(mem, key_base + start * 8, n * 8)
+        charge_read(mem, value_base + start * 8, n * 8)
+        keys = []
+        vals = []
+        append_k = keys.append
+        append_v = vals.append
+        find = statuses.find
+        i = find(1)
+        while i >= 0:
+            append_k(k_mv[start + i])
+            append_v(v_mv[start + i])
+            i = find(1, i + 1)
         yield keys, vals
+
+
+def charge_read(mem, offset: int, size: int) -> None:
+    """Charge ``mem.read(offset, size)`` without moving the bytes.
+
+    The memory's span rule plus the read-op accounting; only valid while
+    ``mem.kernel_ready`` (no fault hooks or seal checks to run).
+    """
+    mem._touch_batch(offset, size, False)
+    stats = mem.stats
+    stats.read_ops += 1
+    stats.bytes_read += size
 
 
 def probe_batch(

@@ -17,7 +17,6 @@ import ast
 WRITE_METHODS = frozenset(
     {
         "write",
-        "write_batch",
         "write_uint",
         "write_array",
         "fill",

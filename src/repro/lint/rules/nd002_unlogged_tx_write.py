@@ -29,7 +29,6 @@ from repro.lint.rules.common import leftmost_name
 #: SimulatedMemory/pool mutators that bypass the undo log.
 WRITE_METHODS = {
     "write",
-    "write_batch",
     "write_uint",
     "fill",
     "rmw_add",

@@ -11,7 +11,7 @@ Three checks, all resolved through a conservative constant folder
 (unresolvable sites are skipped, never guessed):
 
 * ``struct.unpack(FMT, mem.read(off, SIZE))`` (also via a ``Struct``
-  constant, ``read_batch``/``peek``, or a single-assignment local
+  constant, ``peek``, or a single-assignment local
   holding the read) where ``calcsize(FMT) != SIZE``;
 * fixed-width helpers named ``read_uN``/``write_iN``/... whose body
   calls ``read_uint``/``write_uint`` with a different byte width;
@@ -35,7 +35,7 @@ from repro.lint.rules.common import (
     safe_calcsize,
 )
 
-_READ_METHODS = {"read", "read_batch", "peek"}
+_READ_METHODS = {"read", "peek"}
 _HELPER_RE = re.compile(r"^(read|write)_([uif])(8|16|32|64)$")
 _WIDTH_CONST_RE = re.compile(r"^[UIF](8|16|32|64)$")
 

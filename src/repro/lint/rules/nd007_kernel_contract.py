@@ -1,9 +1,9 @@
 """ND007: bulk-kernel contract violations.
 
 The ``repro.kernels`` package is the *only* layer allowed to build
-zero-copy views (``np.frombuffer``/``memoryview``) over the simulated
-device buffer: every such view bypasses the accounted accessors, so the
-kernel package pairs each one with an explicit charge-from-plan block.
+zero-copy ``memoryview`` views over the simulated device buffer: every
+such view bypasses the accounted accessors, so the kernel package pairs
+each one with an explicit charge-from-plan block.
 A view constructed anywhere else has no such pairing and silently reads
 or writes device state at zero simulated cost.
 
@@ -28,7 +28,7 @@ from repro.lint.core import Finding, ModuleFile
 from repro.lint.rules import register
 from repro.lint.rules.nd001_raw_access import ALLOWED_SUFFIXES, in_allowed_package
 
-_VIEW_BUILDERS = ("frombuffer", "memoryview")
+_VIEW_BUILDERS = ("memoryview",)
 
 _PACK_CALLS = ("pack", "to_bytes")
 
@@ -43,8 +43,8 @@ def _mentions_buf(node: ast.AST) -> bool:
 def _is_view_call(node: ast.Call) -> str | None:
     """Name of the view builder when ``node`` constructs a buffer view."""
     func = node.func
-    if isinstance(func, ast.Name) and func.id == "memoryview":
-        return "memoryview"
+    if isinstance(func, ast.Name) and func.id in _VIEW_BUILDERS:
+        return func.id
     if isinstance(func, ast.Attribute) and func.attr in _VIEW_BUILDERS:
         return func.attr
     return None

@@ -35,7 +35,7 @@ import zlib
 from pathlib import Path
 
 from repro.errors import InvalidAccessError, MediaError
-from repro.kernels import make as _make_kernels
+from repro.kernels.core import Kernels
 from repro.kernels.core import pack_values as _pack_values
 from repro.kernels.core import typed_array as _typed_array
 from repro.nvm.cache import LineCache
@@ -101,10 +101,11 @@ class SimulatedMemory:
         clock: Shared simulated clock; a private one is created if omitted.
         cache_bytes: Capacity of the CPU-cache model for this device.
         name: Optional label used in error messages and reports.
-        batched: Charge accesses with the run-length batch fast path
-            (the default).  ``False`` selects the per-line reference loop;
-            both produce identical accounting, and the differential suite
-            in ``tests/test_batch_equivalence.py`` holds them together.
+        reference: Charge every access through the per-line reference
+            loop (:meth:`_touch`) and stand the kernels down.  Accounting
+            is identical to the default fast path; the differential
+            suites in ``tests/test_batch_equivalence.py`` and
+            ``tests/test_kernel_equivalence.py`` hold the two together.
     """
 
     def __init__(
@@ -115,8 +116,7 @@ class SimulatedMemory:
         cache_bytes: int = 1 << 20,
         name: str | None = None,
         track_wear: bool = False,
-        batched: bool = True,
-        kernels: str | None = None,
+        reference: bool = False,
     ) -> None:
         if size <= 0:
             raise ValueError("memory size must be positive")
@@ -148,8 +148,8 @@ class SimulatedMemory:
         #: directory's ping-pong arenas) compare epochs to know whether a
         #: span written earlier has since reached media.
         self.flush_epoch = 0
-        self._batched = batched
-        self._touch_impl = self._touch_batch if batched else self._touch
+        self._reference = reference
+        self._touch_span = self._touch if reference else self._touch_batch
         #: Per-line media program counts (endurance accounting); only
         #: populated when ``track_wear`` is enabled.
         self.wear: dict[int, int] | None = {} if track_wear else None
@@ -171,32 +171,33 @@ class SimulatedMemory:
         #: Depth of :meth:`read_unverified` nesting; > 0 suspends seal
         #: verification (scrub reads damaged lines on purpose).
         self._verify_suspended = 0
-        #: Bulk-kernel set for this device (see :mod:`repro.kernels`):
-        #: a :class:`~repro.kernels.core.Kernels` instance, or ``None``
-        #: when ``kernels="off"`` selects the scalar reference paths.
-        #: Simulated accounting is bit-identical in every mode.
-        self.kernels = _make_kernels(self, kernels)
+        #: Bulk-kernel state for this device (see :mod:`repro.kernels`),
+        #: or ``None`` under the reference model.
+        self.kernels = None if reference else Kernels(self)
 
     # ------------------------------------------------------------------
     # Load/store interface
     # ------------------------------------------------------------------
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset``, charging device cost."""
+        """Read ``size`` bytes at ``offset``, charging device cost.
+
+        This is the one place the single-line read rule is written: the
+        line is an LRU hit (1 ns) or a fetch miss (sequential when it
+        continues the previous miss) that may evict a dirty victim.
+        Multi-line spans are charged by :meth:`_touch_batch`, and every
+        access by :meth:`_touch` under ``reference=True``.
+        """
+        end = offset + size
+        if offset < 0 or size < 0 or end > self.size:
+            self._check_range(offset, size)
         profile = self.profile
         line_size = profile.line_size
         first = offset // line_size
-        end = offset + size
         stats = self.stats
-        if (
-            self._batched
-            and size > 0
-            and (end - 1) // line_size == first
-            and offset >= 0
-            and end <= self.size
-        ):
-            # Single-line fast path: identical charging to the generic
-            # span pipeline, with the LRU dict driven directly.
+        if self._reference or size == 0 or (end - 1) // line_size != first:
+            self._touch_span(offset, size, False)
+        else:
             cache_lines = self._cache._lines
             stats.lines_read += 1
             if first in cache_lines:
@@ -227,26 +228,9 @@ class SimulatedMemory:
                 stats.device_ns += total
                 cache_lines[first] = False
             self.clock.ns += total
-            stats.read_ops += 1
-            stats.bytes_read += size
-            data = bytes(self._buf[offset:end])
-            plan = self._fault_plan
-            if plan is not None:
-                plan.reads += 1
-                if plan.on_read is not None:
-                    plan.on_read(self, offset, size)
-                if plan.has_pending_corruption:
-                    data = self._corrupt_read(offset, data)
-                if plan.media_faults:
-                    data = self._media_read(offset, data)
-            if self._integrity_seals is not None and size:
-                self._verify_window(offset, data)
-            return data
-        self._check_range(offset, size)
-        self._touch_impl(offset, size, False)
         stats.read_ops += 1
         stats.bytes_read += size
-        data = bytes(self._buf[offset : offset + size])
+        data = self._buf[offset:end]
         plan = self._fault_plan
         if plan is not None:
             plan.reads += 1
@@ -265,23 +249,24 @@ class SimulatedMemory:
 
         A write that covers an entire line does not pay the fetch-on-miss
         cost (write-allocate without fetch): the old contents are fully
-        overwritten, as a page cache or WPQ buffer would recognize.
+        overwritten, as a page cache or WPQ buffer would recognize.  Nor
+        does a miss on a line that never reached media.  This is the one
+        place the single-line write rule is written; spans and the
+        reference model are charged as in :meth:`read`.
         """
         if self._fault_plan is not None:
             self._fault_plan.on_write(self)
         size = len(data)
+        end = offset + size
+        if offset < 0 or end > self.size:
+            self._check_range(offset, size)
         profile = self.profile
         line_size = profile.line_size
         first = offset // line_size
-        end = offset + size
         stats = self.stats
-        if (
-            self._batched
-            and size > 0
-            and (end - 1) // line_size == first
-            and offset >= 0
-            and end <= self.size
-        ):
+        if self._reference or size == 0 or (end - 1) // line_size != first:
+            self._touch_span(offset, size, True)
+        else:
             cache_lines = self._cache._lines
             stats.lines_written += 1
             if first in cache_lines:
@@ -321,43 +306,23 @@ class SimulatedMemory:
             self._dirty_lines.add(first)
             self._evict_programmed.discard(first)
             self.clock.ns += total
-            stats.write_ops += 1
-            stats.bytes_written += size
-            self._buf[offset:end] = data
-            return
-        self._check_range(offset, size)
-        self._touch_impl(offset, size, True)
         stats.write_ops += 1
         stats.bytes_written += size
-        self._buf[offset : offset + size] = data
-
-    def read_batch(self, offset: int, size: int) -> bytes:
-        """Bulk read alias: one call, one span, run-length cost charging.
-
-        ``read`` already routes through the batch path; this name exists so
-        call sites can state intent when they deliberately read a large
-        span in one device round-trip.
-        """
-        return self.read(offset, size)
-
-    def write_batch(self, offset: int, data: bytes | bytearray | memoryview) -> None:
-        """Bulk write alias of :meth:`write`; see :meth:`read_batch`."""
-        self.write(offset, data)
+        self._buf[offset:end] = data
 
     @property
     def kernel_ready(self) -> bool:
-        """Whether batch kernels may bypass the scalar access pipeline.
+        """Whether hoisted loops and kernels may bypass :meth:`read`/:meth:`write`.
 
-        False while a fault plan is armed (kernels would skip the
-        per-write hooks and read-corruption sites), under the per-line
-        reference cost model, while a trace recorder has the scalar
-        accessors patched, or while an integrity mirror is attached
-        (kernels would skip seal verification); callers then take the
-        scalar path, which handles all four.
+        False under the per-line reference model, while a fault plan is
+        armed (the hoisted loops skip the per-access hooks and
+        read-corruption sites), while a trace recorder has the accessors
+        patched, or while an integrity mirror is attached (they would
+        skip seal verification); callers then take the scalar path,
+        which handles all four.
         """
         return (
             self.kernels is not None
-            and self._batched
             and self._fault_plan is None
             and not self._recording
             and self._integrity_seals is None
@@ -380,226 +345,24 @@ class SimulatedMemory:
         self.write(offset, _pack_values(values, elem_size, signed))
 
     def read_uint(self, offset: int, size: int, signed: bool = False) -> int:
-        """Read one little-endian integer field.
-
-        Accounting identical to ``read(offset, size)``.  The single-line
-        common case inlines the touch pipeline: scalar loads are the
-        dominant operation of probe-heavy persistent structures, and the
-        generic path's call chain costs more wall-clock than the whole
-        simulated charge computation.
-        """
-        profile = self.profile
-        line_size = profile.line_size
-        first = offset // line_size
-        end = offset + size
-        plan = self._fault_plan
-        if (
-            not self._batched
-            or (end - 1) // line_size != first
-            or (
-                plan is not None
-                and (plan.has_pending_corruption or plan.media_faults)
-            )
-            or self._integrity_seals is not None
-        ):
-            # Injected corruption/media faults and seal verification are
-            # applied by read(); route scalar loads through it while any
-            # is armed.
-            return int.from_bytes(self.read(offset, size), "little", signed=signed)
-        if plan is not None:
-            plan.reads += 1
-            if plan.on_read is not None:
-                plan.on_read(self, offset, size)
-        if offset < 0 or end > self.size:
-            self._check_range(offset, size)
-        stats = self.stats
-        cache_lines = self._cache._lines
-        stats.lines_read += 1
-        if first in cache_lines:
-            cache_lines.move_to_end(first)
-            stats.cache_hits += 1
-            total = 1.0
-        else:
-            stats.cache_misses += 1
-            lml = self._last_media_line
-            total = (
-                profile.seq_read_ns
-                if lml is not None and first == lml + 1
-                else profile.read_ns
-            ) + profile.syscall_ns
-            self._last_media_line = first
-            if len(cache_lines) >= self._cache.capacity_lines:
-                victim, victim_dirty = cache_lines.popitem(False)
-                if victim_dirty:
-                    cost = (
-                        profile.seq_write_ns
-                        if victim == first + 1
-                        else profile.write_ns
-                    ) + profile.syscall_ns
-                    total += cost
-                    stats.writebacks += 1
-                    self._program_line(victim)
-                    self._evict_programmed.add(victim)
-            stats.device_ns += total
-            cache_lines[first] = False
-        self.clock.ns += total
-        stats.read_ops += 1
-        stats.bytes_read += size
-        return int.from_bytes(self._buf[offset:end], "little", signed=signed)
+        """Read one little-endian integer field: a :meth:`read`."""
+        return int.from_bytes(self.read(offset, size), "little", signed=signed)
 
     def write_uint(
         self, offset: int, size: int, value: int, signed: bool = False
     ) -> None:
-        """Write one little-endian integer field.
-
-        Accounting identical to ``write(offset, <size-byte packing>)``;
-        see :meth:`read_uint` for why the single-line case is inlined.
-        """
-        profile = self.profile
-        line_size = profile.line_size
-        first = offset // line_size
-        end = offset + size
-        if not self._batched or (end - 1) // line_size != first:
-            self.write(offset, value.to_bytes(size, "little", signed=signed))
-            return
-        if self._fault_plan is not None:
-            self._fault_plan.on_write(self)
-        if offset < 0 or end > self.size:
-            self._check_range(offset, size)
-        stats = self.stats
-        cache_lines = self._cache._lines
-        stats.lines_written += 1
-        if first in cache_lines:
-            cache_lines.move_to_end(first)
-            stats.cache_hits += 1
-            total = 1.0
-        else:
-            stats.cache_misses += 1
-            device = 0.0
-            if first not in self._media_lines or (
-                offset == first * line_size and size == line_size
-            ):
-                total = 1.0
-            else:
-                lml = self._last_media_line
-                total = (
-                    profile.seq_read_ns
-                    if lml is not None and first == lml + 1
-                    else profile.read_ns
-                ) + profile.syscall_ns
-                device = total
-            self._last_media_line = first
-            if len(cache_lines) >= self._cache.capacity_lines:
-                victim, victim_dirty = cache_lines.popitem(False)
-                if victim_dirty:
-                    cost = (
-                        profile.seq_write_ns
-                        if victim == first + 1
-                        else profile.write_ns
-                    ) + profile.syscall_ns
-                    total += cost
-                    device += cost
-                    stats.writebacks += 1
-                    self._program_line(victim)
-                    self._evict_programmed.add(victim)
-            if device:
-                stats.device_ns += device
-        cache_lines[first] = True
-        self._dirty_lines.add(first)
-        self._evict_programmed.discard(first)
-        self.clock.ns += total
-        stats.write_ops += 1
-        stats.bytes_written += size
-        self._buf[offset:end] = value.to_bytes(size, "little", signed=signed)
+        """Write one little-endian integer field: a :meth:`write`."""
+        self.write(offset, value.to_bytes(size, "little", signed=signed))
 
     def rmw_add(self, offset: int, size: int, delta: int, signed: bool = False) -> int:
-        """Fused read-modify-write of one little-endian integer field.
+        """Add ``delta`` to one little-endian integer field.
 
-        Semantically identical -- accounting included -- to ``read(offset,
-        size)`` followed by ``write(offset, <old value + delta>)``.  The
-        read leaves the spanned line resident, so when the field sits in a
-        single line the write half is necessarily a dirty cache hit and is
-        charged inline, skipping a full second trip through the access
-        pipeline.  Falls back to the literal read+write sequence when the
-        field straddles a line boundary or the per-line reference model is
-        active.  Returns the new value.
+        A :meth:`read` followed by a :meth:`write` of the new value, so
+        charges, fault hooks and overflow (``OverflowError`` before the
+        write) are theirs.  Returns the new value.
         """
-        profile = self.profile
-        line_size = profile.line_size
-        first = offset // line_size
-        end = offset + size
-        plan = self._fault_plan
-        if (
-            not self._batched
-            or (end - 1) // line_size != first
-            or (plan is not None and plan.media_faults)
-            or self._integrity_seals is not None
-        ):
-            # Media faults / seal checks live in read(); the literal
-            # read+write sequence keeps the read half on that path (one
-            # counted read either way, so fault ordinals line up with a
-            # counting run's).
-            value = (
-                int.from_bytes(self.read(offset, size), "little", signed=signed)
-                + delta
-            )
-            self.write(offset, value.to_bytes(size, "little", signed=signed))
-            return value
-        if plan is not None:
-            plan.reads += 1
-            if plan.on_read is not None:
-                plan.on_read(self, offset, size)
-            plan.on_write(self)
-        if offset < 0 or end > self.size:
-            self._check_range(offset, size)
-        stats = self.stats
-        cache_lines = self._cache._lines
-        # Read half (reads always fetch on miss), LRU dict driven directly;
-        # the write half is then a guaranteed dirty hit on the same line.
-        if first in cache_lines:
-            cache_lines.move_to_end(first)
-            stats.cache_hits += 2
-            total = 2.0
-        else:
-            stats.cache_misses += 1
-            stats.cache_hits += 1
-            lml = self._last_media_line
-            total = (
-                profile.seq_read_ns
-                if lml is not None and first == lml + 1
-                else profile.read_ns
-            ) + profile.syscall_ns
-            device = total
-            total += 1.0
-            self._last_media_line = first
-            if len(cache_lines) >= self._cache.capacity_lines:
-                victim, victim_dirty = cache_lines.popitem(False)
-                if victim_dirty:
-                    cost = (
-                        profile.seq_write_ns
-                        if victim == first + 1
-                        else profile.write_ns
-                    ) + profile.syscall_ns
-                    total += cost
-                    device += cost
-                    stats.writebacks += 1
-                    self._program_line(victim)
-                    self._evict_programmed.add(victim)
-            stats.device_ns += device
-        cache_lines[first] = True
-        self._dirty_lines.add(first)
-        self._evict_programmed.discard(first)
-        stats.lines_read += 1
-        stats.lines_written += 1
-        stats.read_ops += 1
-        stats.bytes_read += size
-        stats.write_ops += 1
-        stats.bytes_written += size
-        self.clock.ns += total
-        value = (
-            int.from_bytes(self._buf[offset:end], "little", signed=signed) + delta
-        )
-        self._buf[offset:end] = value.to_bytes(size, "little", signed=signed)
+        value = int.from_bytes(self.read(offset, size), "little", signed=signed) + delta
+        self.write(offset, value.to_bytes(size, "little", signed=signed))
         return value
 
     def rmw_add_each(
@@ -607,28 +370,23 @@ class SimulatedMemory:
     ) -> list[int] | None:
         """Apply :meth:`rmw_add` at many ``(offset, delta)`` sites.
 
-        Accounting is identical to issuing the calls one by one -- which
-        is exactly what the per-line reference model does -- but the
-        batched path hoists all simulator state into locals, so scattered
-        integer updates (the per-token counting hot loop of the analytics
-        baselines) stop paying the full ``read()``/``write()`` call chain
-        per element.
+        Accounting is identical to issuing the calls one by one, which
+        is what happens unless :attr:`kernel_ready`.  Otherwise this is
+        one of the two hoisted hot loops (with
+        :func:`repro.kernels.hashops.probe_batch`) that copy the
+        single-line rules of :meth:`read` and :meth:`write` instead of
+        calling them: scattered counter updates are the per-token hot
+        loop of the analytics baselines, and the call chain per element
+        costs more wall-clock than the charge itself.  The copy is held
+        to the scalar calls by ``tests/test_batch_equivalence.py``
+        (``test_fused_rmw_equivalence``, the overflow regression) and
+        ``tests/test_kernel_equivalence.py``.
 
         With ``collect=True``, returns the post-update values in site
         order (the traversal engine consumes in-degree decrements this
         way); the default skips the list entirely.
         """
-        plan = self._fault_plan
-        if (
-            not self._batched
-            or (isinstance(pairs, (list, tuple)) and len(pairs) < 12)
-            or (plan is not None and plan.media_faults)
-            or self._integrity_seals is not None
-        ):
-            # Short site lists: the scalar fused path is cheaper than
-            # hoisting the batch loop's locals.  Accounting is identical
-            # either way.  Media faults / seal checks also take this
-            # route -- rmw_add defers to read()+write() for them.
+        if not self.kernel_ready:
             values = [
                 self.rmw_add(offset, size, delta, signed=signed)
                 for offset, delta in pairs
@@ -654,7 +412,6 @@ class SimulatedMemory:
         wear = self.wear
         buf = self._buf
         from_bytes = int.from_bytes
-        fault_plan = self._fault_plan
         lml = self._last_media_line
         size1 = size - 1
         values: list[int] | None = [] if collect else None
@@ -676,19 +433,14 @@ class SimulatedMemory:
         def sync() -> None:
             nonlocal total, device, hits, misses, writebacks, n_ops
             if pend:
-                # Large site sets: one vectorized gather/scatter via the
-                # kernel layer (pure execute; every visit was charged
-                # above).  The kernel declines ranges where it cannot
-                # reproduce the codec loop's exact overflow behaviour.
-                kern = self.kernels
-                if kern is None or not kern.apply_pending_adds(pend, size, signed):
-                    for p_off, p_delta in pend.items():
-                        p_end = p_off + size
-                        p_value = (
-                            from_bytes(buf[p_off:p_end], "little", signed=signed)
-                            + p_delta
-                        )
-                        buf[p_off:p_end] = p_value.to_bytes(size, "little", signed=signed)
+                # to_bytes raises OverflowError where a scalar write would.
+                for p_off, p_delta in pend.items():
+                    p_end = p_off + size
+                    p_value = (
+                        from_bytes(buf[p_off:p_end], "little", signed=signed)
+                        + p_delta
+                    )
+                    buf[p_off:p_end] = p_value.to_bytes(size, "little", signed=signed)
                 pend.clear()
             self._last_media_line = lml
             self.clock.ns += total
@@ -714,24 +466,17 @@ class SimulatedMemory:
                     )
                 first = offset // line_size
                 if (offset + size1) // line_size != first:
-                    # Line-straddling field: sync and take the scalar path
-                    # (which runs its own fault hook).
+                    # Line-straddling field: sync and take the scalar path.
                     sync()
                     value = self.rmw_add(offset, size, delta, signed=signed)
                     lml = self._last_media_line
                     if values is not None:
                         values.append(value)
                     continue
-                if fault_plan is not None:
-                    fault_plan.reads += 1
-                    if fault_plan.on_read is not None:
-                        fault_plan.on_read(self, offset, size)
-                    fault_plan.on_write(self)
-                # Read half (reads always fetch on miss; no_fetch is
-                # write-only -- see _touch), with the LRU dict driven
-                # directly instead of through LineCache.access.  The write
-                # half is a guaranteed dirty hit on the just-read line, so
-                # both halves collapse into one dict update + 1ns each.
+                # Read half (reads always fetch on miss), with the LRU dict
+                # driven directly.  The write half is a guaranteed dirty hit
+                # on the just-read line, so both halves collapse into one
+                # dict update + 1ns each.
                 if first in cache_lines:
                     hits += 1
                     move_to_end(first)
@@ -782,17 +527,19 @@ class SimulatedMemory:
     def fill(self, offset: int, size: int, value: int = 0) -> None:
         """Write ``size`` copies of ``value`` starting at ``offset``.
 
-        Charges exactly like one :meth:`write` of ``size`` bytes but never
-        materializes a ``size``-byte pattern for non-zero values; zero
-        fills use ``bytes(size)`` (calloc-backed) directly.
+        Charges exactly like one :meth:`write` of ``size`` bytes.  A fill
+        within one line *is* that write; a longer one never materializes
+        a ``size``-byte pattern for non-zero values, and zero fills use
+        ``bytes(size)`` (calloc-backed) directly.
         """
-        if size == 0:
-            self.write(offset, b"")
+        line_size = self.profile.line_size
+        if 0 <= size <= line_size - offset % line_size:
+            self.write(offset, bytes([value]) * size)
             return
         if self._fault_plan is not None:
             self._fault_plan.on_write(self)
         self._check_range(offset, size)
-        self._touch_impl(offset, size, True)
+        self._touch_span(offset, size, True)
         stats = self.stats
         stats.write_ops += 1
         stats.bytes_written += size
@@ -1187,10 +934,11 @@ class SimulatedMemory:
     def _touch(self, offset: int, size: int, dirty: bool) -> None:
         """Per-line reference cost model: cache each line, charge the clock.
 
-        This is the executable specification the batched fast path
-        (:meth:`_touch_batch`) must reproduce bit-for-bit; it stays
-        selectable via ``batched=False`` so the differential-equivalence
-        suite can replay traces through both.
+        This is the executable specification the fast path (the
+        single-line rules in :meth:`read`/:meth:`write`, the span rule in
+        :meth:`_touch_batch`, and the hoisted loops) must reproduce
+        bit-for-bit; ``reference=True`` selects it so the differential
+        suites can replay traces through both.
         """
         profile = self.profile
         clock = self.clock
@@ -1262,6 +1010,9 @@ class SimulatedMemory:
         * for a dirty span only the unaligned first/last lines can fetch
           (interior lines are fully covered), so at most two write-path
           fetches need individual treatment.
+
+        A dirty span must cross a line boundary (a one-line write is
+        :meth:`write`'s single-line rule); a clean span may be one line.
         """
         if size <= 0:
             return
@@ -1270,54 +1021,8 @@ class SimulatedMemory:
         first = offset // line_size
         last = (offset + size - 1) // line_size
         stats = self.stats
-        cache = self._cache
-        if first == last:
-            # Single-line fast path: the overwhelmingly common case for
-            # scalar loads/stores; a streamlined copy of _touch's body.
-            hit, evicted_dirty = cache.access(first, dirty)
-            if dirty:
-                self._dirty_lines.add(first)
-                self._evict_programmed.discard(first)
-                stats.lines_written += 1
-            else:
-                stats.lines_read += 1
-            lml = self._last_media_line
-            if hit:
-                stats.cache_hits += 1
-                total = 1.0
-            else:
-                stats.cache_misses += 1
-                if dirty and (
-                    first not in self._media_lines
-                    or (offset == first * line_size and size == line_size)
-                ):
-                    total = 1.0
-                else:
-                    cost = (
-                        profile.seq_read_ns
-                        if lml is not None and first == lml + 1
-                        else profile.read_ns
-                    ) + profile.syscall_ns
-                    stats.device_ns += cost
-                    total = cost
-                self._last_media_line = first
-                lml = first
-            if evicted_dirty is not None:
-                cost = (
-                    profile.seq_write_ns
-                    if lml is not None and evicted_dirty == lml + 1
-                    else profile.write_ns
-                ) + profile.syscall_ns
-                total += cost
-                stats.device_ns += cost
-                stats.writebacks += 1
-                self._program_line(evicted_dirty)
-                self._evict_programmed.add(evicted_dirty)
-            self.clock.ns += total
-            return
-
         n = last - first + 1
-        n_hits, miss_runs, evictions = cache.access_many(first, last, dirty)
+        n_hits, miss_runs, evictions = self._cache.access_many(first, last, dirty)
         n_miss = n - n_hits
         stats.cache_hits += n_hits
         stats.cache_misses += n_miss

@@ -128,50 +128,17 @@ def record_trace(memory: SimulatedMemory) -> Iterator[AccessTrace]:
 
     def fill(offset: int, size: int, value: int = 0) -> None:
         # fill charges exactly like one write of ``size`` bytes, so the
-        # trace records it as a plain write event (contents are
-        # immaterial to replay cost).  The zero-size case mirrors fill's
-        # own delegation to write, keeping the event stream single-entry.
-        if size == 0:
-            write(offset, b"")
-            return
-        trace.events.append(("w", offset, size))
-        start = clock.ns
-        original_fill(offset, size, value)
-        trace.charged_ns += clock.ns - start
-
-    # The fused scalar accessors charge identically to their literal
-    # read/write decomposition (pinned by the batch-equivalence suite),
-    # so while recording we route them through the traced primitives:
-    # the trace then captures every logical access and replays to the
-    # same simulated cost.
-
-    def read_uint(offset: int, size: int, signed: bool = False) -> int:
-        return int.from_bytes(read(offset, size), "little", signed=signed)
-
-    def write_uint(offset: int, size: int, value: int, signed: bool = False) -> None:
-        write(offset, value.to_bytes(size, "little", signed=signed))
-
-    def rmw_add(offset: int, size: int, delta: int, signed: bool = False) -> int:
-        value = read_uint(offset, size, signed=signed) + delta
-        write_uint(offset, size, value, signed=signed)
-        return value
-
-    def rmw_add_each(
-        pairs, size: int, signed: bool = False, collect: bool = False
-    ) -> list[int] | None:
-        values = [rmw_add(offset, size, delta, signed=signed) for offset, delta in pairs]
-        return values if collect else None
+        # trace records it as that write.
+        write(offset, bytes([value]) * size)
 
     memory.read = read  # type: ignore[method-assign]
     memory.write = write  # type: ignore[method-assign]
     memory.flush = flush  # type: ignore[method-assign]
     memory.fill = fill  # type: ignore[method-assign]
-    memory.read_uint = read_uint  # type: ignore[method-assign]
-    memory.write_uint = write_uint  # type: ignore[method-assign]
-    memory.rmw_add = rmw_add  # type: ignore[method-assign]
-    memory.rmw_add_each = rmw_add_each  # type: ignore[method-assign]
-    # Bulk kernels bypass the patched accessors; kernel_ready goes False
-    # for the duration so every access flows through the trace.
+    # The scalar accessors (read_uint/write_uint/rmw_add) call read and
+    # write and so reach the patches above.  Hoisted loops and kernels
+    # bypass them; kernel_ready goes False for the duration so every
+    # access flows through the trace.
     was_recording = memory._recording
     memory._recording = True
     try:
@@ -182,10 +149,6 @@ def record_trace(memory: SimulatedMemory) -> Iterator[AccessTrace]:
         memory.write = original_write  # type: ignore[method-assign]
         memory.flush = original_flush  # type: ignore[method-assign]
         memory.fill = original_fill  # type: ignore[method-assign]
-        del memory.read_uint
-        del memory.write_uint
-        del memory.rmw_add
-        del memory.rmw_add_each
 
 
 def replay_trace(

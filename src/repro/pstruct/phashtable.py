@@ -334,19 +334,9 @@ class PHashTable:
         CPU charges in the same order, and each pair adds exactly one
         ``CPU_OP_NS`` to the clock.
         """
-        if not self._scan_ok():
-            get = counts.get
-            for word, count in self.items():
-                counts[word] = get(word, 0) + count
-                clock.cpu(1)
-            return
         cpu_ns = clock.CPU_OP_NS
         get = counts.get
-        for keys, vals in hashops.scan_chunks(
-            self._mem.kernels,
-            data_offset=self._data_offset,
-            capacity=self._capacity,
-        ):
+        for keys, vals in self._chunks():
             ns = clock.ns
             for _ in keys:
                 ns += cpu_ns
@@ -377,66 +367,39 @@ class PHashTable:
         A chunk of statuses is read first; the key and value buffers are
         only touched for chunks that contain occupied slots.
         """
+        for keys, values in self._chunks():
+            yield from zip(keys, values)
+
+    def _chunks(self) -> Iterator[tuple[list[int], list[int]]]:
+        """Per-chunk ``(keys, values)`` of live slots, charged as :meth:`items`."""
         if self._scan_ok():
-            for keys, values in hashops.scan_chunks(
+            yield from hashops.scan_chunks(
                 self._mem.kernels,
                 data_offset=self._data_offset,
                 capacity=self._capacity,
-            ):
-                yield from zip(keys, values)
+            )
             return
+        mem = self._mem
         chunk = 512
-        kern = self._mem.kernels
-        np_mod = kern.np if kern is not None else None
         key_base = self._data_offset + self._capacity
         value_base = self._data_offset + self._capacity * 9
         for start in range(0, self._capacity, chunk):
             count = min(chunk, self._capacity - start)
-            statuses = self._mem.read(self._data_offset + start, count)
+            statuses = mem.read(self._data_offset + start, count)
             if _OCCUPIED not in statuses:
                 continue
-            keys, values = select_occupied(
+            yield select_occupied(
                 statuses,
-                self._mem.read(key_base + start * 8, count * 8),
-                self._mem.read(value_base + start * 8, count * 8),
-                np_mod,
+                mem.read(key_base + start * 8, count * 8),
+                mem.read(value_base + start * 8, count * 8),
             )
-            yield from zip(keys, values)
 
     def _scan_entries(self) -> tuple[list[int], list[int]]:
         """Read all live ``(keys, values)`` with the same bulk sequential
         reads (and therefore charges) as a full drain of :meth:`items`."""
         keys_out: list[int] = []
         vals_out: list[int] = []
-        if self._scan_ok():
-            for keys, vals in hashops.scan_chunks(
-                self._mem.kernels,
-                data_offset=self._data_offset,
-                capacity=self._capacity,
-            ):
-                keys_out.extend(keys)
-                vals_out.extend(vals)
-            return keys_out, vals_out
-        mem = self._mem
-        kern = mem.kernels
-        np_mod = kern.np if kern is not None else None
-        chunk = 512
-        capacity = self._capacity
-        data_offset = self._data_offset
-        key_base = data_offset + capacity
-        value_base = data_offset + capacity * 9
-        read = mem.read
-        for start in range(0, capacity, chunk):
-            count = min(chunk, capacity - start)
-            statuses = read(data_offset + start, count)
-            if _OCCUPIED not in statuses:
-                continue
-            keys, vals = select_occupied(
-                statuses,
-                read(key_base + start * 8, count * 8),
-                read(value_base + start * 8, count * 8),
-                np_mod,
-            )
+        for keys, vals in self._chunks():
             keys_out.extend(keys)
             vals_out.extend(vals)
         return keys_out, vals_out
@@ -452,8 +415,8 @@ class PHashTable:
     def _kernel_ok(self) -> bool:
         """Whether batch ops may run through the fused probe kernel.
 
-        Growable tables keep the faithful scalar rehash costs; fault
-        plans and unbatched cost models run the scalar reference path;
+        Growable tables keep the faithful scalar rehash costs; memories
+        that are not ``kernel_ready`` run the scalar path;
         the alignment conditions guarantee every 8-byte field access
         stays inside one device line and is never a whole-line write
         (see ``repro.kernels.hashops``).

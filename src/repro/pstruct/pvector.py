@@ -191,7 +191,7 @@ class PVector:
             raise IndexError(
                 f"range [{index}, {index + count}) out of range [0, {self._length})"
             )
-        raw = self._mem.read_batch(
+        raw = self._mem.read(
             self._data_offset + index * self.elem_size, count * self.elem_size
         )
         return typed_array(raw, self.elem_size)

@@ -1,15 +1,16 @@
-"""Differential equivalence of the batched and per-line cost models.
+"""Differential equivalence of the fast and per-line reference cost models.
 
 ``SimulatedMemory`` charges every access through one of two
-implementations: the per-line reference loop (``batched=False``) and the
-run-length batch fast path (``batched=True``, the default).  The batch
-path exists purely for wall-clock speed -- simulated time, statistics,
-cache state, wear and buffer contents must be *identical*, or every
-figure built on the simulator silently drifts.
+implementations: the per-line reference loop (``reference=True``) and the
+fast path (the default: single-line rules in ``read``/``write``, the
+run-length span rule, the hoisted ``rmw_add_each`` loop).  The fast path
+exists purely for wall-clock speed -- simulated time, statistics, cache
+state, wear and buffer contents must be *identical*, or every figure
+built on the simulator silently drifts.
 
 This suite replays randomized access traces (reads, writes, fills,
 flushes, crashes; aligned and unaligned spans; single-byte to multi-line)
-through a reference memory and a batched memory and asserts the complete
+through a reference memory and a fast memory and asserts the complete
 observable state matches exactly.  All memory-op charges are
 integer-valued nanoseconds, so the closed-form run sums are bitwise equal
 to the per-line additions -- ``==`` on ``clock.ns``, not ``approx``.
@@ -24,7 +25,9 @@ import random
 
 import pytest
 
+from repro.errors import InvalidAccessError
 from repro.nvm.device import DeviceProfile
+from repro.nvm.faults import FaultPlan
 from repro.nvm.memory import SimulatedMemory
 
 _PROFILES = ("nvm", "dram", "ssd", "reram", "pcm")
@@ -107,8 +110,8 @@ def _make_pair(
         cache_bytes=profile.line_size * cache_lines,
         track_wear=True,
     )
-    reference = SimulatedMemory(profile, batched=False, **kwargs)
-    batched = SimulatedMemory(profile, batched=True, **kwargs)
+    reference = SimulatedMemory(profile, reference=True, **kwargs)
+    batched = SimulatedMemory(profile, **kwargs)
     return reference, batched, size
 
 
@@ -213,7 +216,7 @@ def test_fused_rmw_equivalence(profile_name, cache_lines, seed):
     """rmw_add / rmw_add_each == the explicit read+write sequence.
 
     The reference memory (per-line model) replays every RMW as a literal
-    read followed by a write; the batched memory uses the fused paths.
+    read followed by a write; the fast memory uses the fused APIs.
     Unaligned sites exercise the line-straddling fallback; 1-line caches
     force the read half to evict on nearly every site.
     """
@@ -226,13 +229,13 @@ def test_fused_rmw_equivalence(profile_name, cache_lines, seed):
 
 
 def test_fused_rmw_reference_mode_matches_too():
-    """With batched=False, the fused APIs fall back to literal
-    read+write -- the reference model stays the executable spec."""
+    """With reference=True, the fused APIs are literal read+write --
+    the reference model stays the executable spec."""
     profile = DeviceProfile.nvm()
     size = profile.line_size * _DEVICE_LINES
     kwargs = dict(size=size, cache_bytes=profile.line_size * 2, track_wear=True)
-    unbatched_fused = SimulatedMemory(profile, batched=False, **kwargs)
-    unbatched_explicit = SimulatedMemory(profile, batched=False, **kwargs)
+    unbatched_fused = SimulatedMemory(profile, reference=True, **kwargs)
+    unbatched_explicit = SimulatedMemory(profile, reference=True, **kwargs)
     ops = _random_rmw_trace(random.Random("ref-mode"), size, profile.line_size)
     _replay_rmw(unbatched_fused, ops, fused=True)
     _replay_rmw(unbatched_explicit, ops, fused=False)
@@ -322,3 +325,74 @@ def test_cpu_interleaved_traces_stay_close():
     fast_state = _state(batched)
     for key in ("dirty_lines", "media_lines", "wear", "buffer", "cache"):
         assert fast_state[key] == ref_state[key]
+
+
+#: (size, signed) -> (near-limit start value, per-site delta) pairs; each
+#: width gets one batch that overflows and one that lands exactly on the
+#: limit, at both ends of the signed range.
+_LIMIT_CASES = [
+    (size, signed, start, delta)
+    for size, signed in ((4, False), (4, True), (8, False), (8, True))
+    for start, delta in (
+        ((1 << (8 * size - signed)) - 10, 100),  # past the top: overflows
+        ((1 << (8 * size - signed)) - 101, 100),  # lands on the top: fits
+        (-(1 << (8 * size - 1)) + 10 if signed else 10, -100),  # past the bottom
+        (-(1 << (8 * size - 1)) + 100 if signed else 100, -100),  # lands on it
+    )
+]
+
+
+@pytest.mark.parametrize("size,signed,start,delta", _LIMIT_CASES)
+def test_rmw_add_each_overflows_like_sequential_rmw_add(size, signed, start, delta):
+    """80 sites near a width's limit: the batch raises exactly when the
+    one-by-one ``rmw_add`` calls raise, and otherwise stores the same
+    values (no silent wrap-around)."""
+    sites = [(i * 8, delta) for i in range(80)]
+
+    def run(batch: bool):
+        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16)
+        for offset, _ in sites:
+            mem.poke(offset, start.to_bytes(size, "little", signed=signed))
+        try:
+            if batch:
+                mem.rmw_add_each(sites, size, signed=signed)
+            else:
+                for offset, d in sites:
+                    mem.rmw_add(offset, size, d, signed=signed)
+        except OverflowError:
+            return "overflow"
+        return [
+            int.from_bytes(mem.peek(offset, size), "little", signed=signed)
+            for offset, _ in sites
+        ]
+
+    expected = run(batch=False)
+    assert run(batch=True) == expected
+    low = -(1 << (8 * size - 1)) if signed else 0
+    high = (1 << (8 * size - signed)) - 1
+    assert (expected == "overflow") == (not low <= start + delta <= high)
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_out_of_range_access_fault_hooks_match_read_and_write(reference):
+    """An out-of-range access raises before any read hook fires, so it
+    never shifts a fault plan's read ordinals: ``read_uint`` and
+    ``rmw_add`` leave the plan exactly as ``read`` does, ``write_uint``
+    exactly as ``write`` does (which counts its write event first)."""
+
+    def observe(access):
+        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 12, reference=reference)
+        plan = FaultPlan()
+        seen: list = []
+        plan.on_read = lambda _mem, offset, size: seen.append((offset, size))
+        mem.arm_faults(plan)
+        with pytest.raises(InvalidAccessError):
+            access(mem, mem.size)
+        return plan.reads, dict(plan.events), seen, mem.clock.ns
+
+    as_read = observe(lambda mem, off: mem.read(off, 8))
+    as_write = observe(lambda mem, off: mem.write(off, bytes(8)))
+    assert as_read[0] == 0 and as_write[1]["write"] == 1
+    assert observe(lambda mem, off: mem.read_uint(off, 8)) == as_read
+    assert observe(lambda mem, off: mem.rmw_add(off, 8, 1)) == as_read
+    assert observe(lambda mem, off: mem.write_uint(off, 8, 1)) == as_write

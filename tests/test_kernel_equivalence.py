@@ -2,10 +2,11 @@
 
 The kernels (``repro.kernels``) promise the charge-from-plan /
 execute-vectorized contract: simulated time, per-device stats, wear,
-and the device buffer image are **bit-identical** (``==``, no
-tolerances) whether a workload runs through the scalar reference paths
-(``kernels="off"``) or the bulk kernels (``"auto"``/``"python"``).
-This suite holds that promise three ways:
+LRU order and the device buffer image are **bit-identical** (``==``, no
+tolerances) whether a workload runs on a reference memory
+(``SimulatedMemory(reference=True)``: per-line charging, scalar loops)
+or on the default fast memory with its kernels.  This suite holds that
+promise three ways:
 
 * property-based op programs over the persistent containers, replayed
   against one memory per mode and compared snapshot-for-snapshot,
@@ -15,6 +16,8 @@ This suite holds that promise three ways:
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,7 +29,6 @@ from repro.analytics.word_count import WordCount
 from repro.core.engine import EngineConfig, NTadocEngine
 from repro.errors import CapacityError
 from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
-from repro.kernels import make
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
 from repro.nvm.memory import SimulatedMemory
@@ -34,10 +36,6 @@ from repro.pstruct.phashtable import PHashTable
 from repro.pstruct.pqueue import PQueue
 from repro.pstruct.pvector import PVector
 from repro.sequitur.compressor import compress_files
-
-#: Kernel-backed modes checked against the scalar "off" reference.
-MODES = ("auto", "python")
-
 
 def snapshot(mem: SimulatedMemory) -> tuple:
     """Every observable the contract pins, as one comparable tuple."""
@@ -47,6 +45,7 @@ def snapshot(mem: SimulatedMemory) -> tuple:
         bytes(mem._buf),
         mem.wear,
         mem._last_media_line,
+        list(mem._cache._lines.items()),  # content + LRU order
         s.device_ns,
         s.cache_hits,
         s.cache_misses,
@@ -73,18 +72,23 @@ _TABLE_OP = st.one_of(
     st.tuples(st.just("merge"), st.integers(min_value=1, max_value=5)),
     st.tuples(st.just("accumulate"), st.just(None)),
     st.tuples(st.just("items"), st.just(None)),
+    st.tuples(st.just("items_prefix"), st.integers(min_value=0, max_value=220)),
     st.tuples(st.just("delete"), _KEYS),
 )
 
 
-def _run_table_program(mode: str, cache_bytes: int, ops) -> tuple:
+def _run_table_program(reference: bool, cache_bytes: int, ops) -> tuple:
     mem = SimulatedMemory(
-        DeviceProfile.nvm(), 1 << 20, cache_bytes=cache_bytes, kernels=mode
+        DeviceProfile.nvm(), 1 << 20, cache_bytes=cache_bytes, reference=reference
     )
     alloc = PoolAllocator(mem, 0, 1 << 19)
     source = PHashTable.create(alloc, 64)
     target = PHashTable.create(alloc, 48)
     source.add_many((k, k % 7 + 1) for k in range(40))
+    # Spans several 512-slot scan chunks, so a partial drain can stop
+    # in any of them.
+    wide = PHashTable.create(alloc, 2000)
+    wide.add_many((k * 7919, k) for k in range(200))
     observed: list = []
     for name, arg in ops:
         try:
@@ -102,6 +106,9 @@ def _run_table_program(mode: str, cache_bytes: int, ops) -> tuple:
                 observed.append(counts)
             elif name == "items":
                 observed.append(list(target.items()))
+            elif name == "items_prefix":
+                observed.append(list(islice(wide.items(), arg)))
+                observed.append(list(islice(target.items(), arg)))
             elif name == "delete":
                 observed.append(target.delete(arg))
         except CapacityError as exc:
@@ -124,31 +131,28 @@ class TestHashTableDifferential:
         cache_bytes=st.sampled_from([1 << 10, 1 << 13, 1 << 20]),
     )
     def test_programs_replay_identically(self, ops, cache_bytes):
-        reference = _run_table_program("off", cache_bytes, ops)
-        for mode in MODES:
-            assert _run_table_program(mode, cache_bytes, ops) == reference
+        reference = _run_table_program(True, cache_bytes, ops)
+        assert _run_table_program(False, cache_bytes, ops) == reference
 
     def test_capacity_error_partial_state_matches(self):
         pairs = [(k, 1) for k in range(200)]
 
-        def run(mode):
-            mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 20, kernels=mode)
+        def run(reference):
+            mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 20, reference=reference)
             alloc = PoolAllocator(mem, 0, 1 << 19)
             table = PHashTable.create(alloc, 8)
             with pytest.raises(CapacityError) as err:
                 table.add_many(pairs)
             return snapshot(mem), str(err.value), table.to_dict(), len(table)
 
-        reference = run("off")
-        for mode in MODES:
-            assert run(mode) == reference
+        assert run(False) == run(True)
 
 
 # -- vector / queue bulk ops ----------------------------------------------
 
 
-def _run_container_program(mode: str, values, elem_size: int) -> tuple:
-    mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 20, kernels=mode)
+def _run_container_program(reference: bool, values, elem_size: int) -> tuple:
+    mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 20, reference=reference)
     alloc = PoolAllocator(mem, 0, 1 << 19)
     vec = PVector.create(alloc, capacity=512, elem_size=elem_size)
     vec.extend(values)
@@ -174,9 +178,8 @@ class TestContainerDifferential:
         elem_size=st.sampled_from([4, 8]),
     )
     def test_vector_and_queue_replay_identically(self, values, elem_size):
-        reference = _run_container_program("off", values, elem_size)
-        for mode in MODES:
-            assert _run_container_program(mode, values, elem_size) == reference
+        reference = _run_container_program(True, values, elem_size)
+        assert _run_container_program(False, values, elem_size) == reference
 
 
 # -- engine level ----------------------------------------------------------
@@ -192,31 +195,24 @@ def corpus():
 class TestEngineDifferential:
     def test_fused_trio_identical_across_modes(self, corpus):
         tasks = lambda: [WordCount(), InvertedIndex(), TermVector()]  # noqa: E731
-        reference = None
-        for mode in ("off", *MODES):
-            engine = NTadocEngine(corpus, EngineConfig(kernels=mode))
-            run = engine.run_many(tasks())
-            key = (run.total_ns, [str(r.result) for r in run.results])
-            if reference is None:
-                reference = key
-            else:
-                assert key == reference, mode
+        keys = []
+        for kernels in (False, True):
+            run = NTadocEngine(corpus, EngineConfig(kernels=kernels)).run_many(tasks())
+            keys.append((run.total_ns, [str(r.result) for r in run.results]))
+        assert keys[1] == keys[0]
 
     def test_solo_run_identical_across_modes(self, corpus):
-        reference = None
-        for mode in ("off", *MODES):
-            run = NTadocEngine(corpus, EngineConfig(kernels=mode)).run(WordCount())
-            key = (run.total_ns, run.result)
-            if reference is None:
-                reference = key
-            else:
-                assert key == reference, mode
+        keys = []
+        for kernels in (False, True):
+            run = NTadocEngine(corpus, EngineConfig(kernels=kernels)).run(WordCount())
+            keys.append((run.total_ns, run.result))
+        assert keys[1] == keys[0]
 
 
 # -- crash sweep with kernels ---------------------------------------------
 
 
-def _sweep_config(kernels: str) -> SweepConfig:
+def _sweep_config(kernels: bool) -> SweepConfig:
     return SweepConfig(
         engine_write_points=8,
         engine_line_points=4,
@@ -230,12 +226,12 @@ def _sweep_config(kernels: str) -> SweepConfig:
 
 class TestCrashSweepWithKernels:
     def test_sweep_report_identical_with_and_without_kernels(self):
-        with_kernels = run_sweep(_sweep_config("auto"))
-        without = run_sweep(_sweep_config("off"))
+        with_kernels = run_sweep(_sweep_config(True))
+        without = run_sweep(_sweep_config(False))
         assert with_kernels["violations"] == []
         # The config echo differs by construction, and the black-box
         # sample embeds the kernel_backend journal event, which names
-        # the backend by design; its counters must still agree.
+        # the access path by design; its counters must still agree.
         # Everything measured (points, recoveries, costs, digests)
         # must match bit-for-bit.
         with_kernels["config"].pop("kernels")
@@ -248,23 +244,16 @@ class TestCrashSweepWithKernels:
         assert render_report(with_kernels) == render_report(without)
 
 
-# -- backend selection -----------------------------------------------------
+# -- reference switch -----------------------------------------------------
 
 
 class TestBackendSelection:
-    def test_no_numpy_env_forces_python_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16)
-        kern = make(mem, "auto")
-        assert kern is not None and kern.np is None
-
-    def test_numpy_mode_raises_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16)
-        with pytest.raises(RuntimeError):
-            make(mem, "numpy")
-
     def test_off_mode_has_no_kernels(self):
-        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16, kernels="off")
+        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16, reference=True)
         assert mem.kernels is None
         assert not mem.kernel_ready
+
+    def test_engine_config_rejects_old_mode_strings(self):
+        # "off" would otherwise be truthy and silently select kernels.
+        with pytest.raises(ValueError):
+            EngineConfig(kernels="off")

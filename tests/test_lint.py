@@ -403,9 +403,9 @@ class TestCli:
 
 class TestND007KernelContract:
     VIEW_FIRING = (
-        "import numpy as np\n"
+        "import builtins\n"
         "def sneak(mem):\n"
-        "    view = np.frombuffer(mem._buf, dtype='<u8')\n"
+        "    view = builtins.memoryview(mem._buf).cast('Q')\n"
         "    flat = memoryview(mem._buf)\n"
         "    return view, flat\n"
     )
