@@ -2,7 +2,8 @@
 
 Each task implements three entry points:
 
-* ``run_compressed`` -- the N-TADOC path over a pruned DAG pool;
+* ``fuse`` -- the N-TADOC path over a pruned DAG pool, as the needs and
+  visit hooks the planner runs (a solo run is a plan of one);
 * ``run_uncompressed`` -- the baseline scan over dictionary-encoded
   tokens resident on a (simulated) device;
 * ``reference`` -- a pure-Python oracle used by the test suite to verify

@@ -75,10 +75,12 @@ class FusedTask:
     """One task's participation in a fused multi-task plan.
 
     A bundle of declared needs plus the visit hooks the planner may call
-    during its shared sweeps.  Every hook is optional; a task with no
-    hooks (only ``run``) executes opaquely against the shared context --
-    it still shares the pool build and every cached intermediate, just
-    not the per-rule device reads.
+    during its shared sweeps.  Every run is a plan -- a solo run is a
+    plan of one -- so this bundle is a task's only compressed
+    implementation.  Every hook is optional; a task with no hooks (only
+    ``run``) executes opaquely against the shared context -- it still
+    shares the pool build and every cached intermediate, just not the
+    per-rule device reads.
 
     Hook signatures:
 
@@ -93,8 +95,9 @@ class FusedTask:
       count dict when :attr:`TraversalNeeds.file_counts` was declared,
       else ``None``.
     * ``finish()`` -- produce the task's result after all sweeps ran.
-    * ``run()`` -- opaque fallback executed when no hooks are given
-      (defaults to ``task.run_compressed(ctx)``).
+    * ``run()`` -- the opaque form, executed after the shared sweeps
+      when a task has no ``finish`` (custom tasks that only need the
+      context).
 
     ``wordlist_alternate`` marks a direction-flexible task: a factory for
     an equivalent :class:`FusedTask` that answers from the bottom-up word
@@ -167,9 +170,6 @@ class CompressedTaskContext:
     profiles_live: bool = False
     _wordlists: list[PHashTable] | None = None
     _segments: list[list[int]] | None = None
-    #: Shared per-file word counts, keyed by the strategy that produced
-    #: them (filled by :mod:`repro.analytics.perfile`).
-    _file_counts: dict[str, list[dict[int, int]]] = field(default_factory=dict)
     _weights_ready: bool = False
 
     @property
@@ -281,32 +281,20 @@ class AnalyticsTask(ABC):
     #: Benchmark name as used in the paper's figures.
     name: str = ""
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        """Initialization-phase preprocessing hook.
-
-        The engine calls this inside the *initialization* phase, matching
-        the paper's time accounting: dataset-dependent precomputation
-        (e.g. the sequence tasks' per-rule n-gram profiles, which make
-        their init share dominate on large datasets in Table II) belongs
-        to initialization, not traversal.  The default does nothing.
-        """
-
     @abstractmethod
-    def run_compressed(self, ctx: CompressedTaskContext) -> Any:
-        """Execute on the N-TADOC compressed representation."""
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
-        """Declare traversal needs and visit hooks for the planner.
+        """Execute on the N-TADOC compressed representation, as a plan.
 
-        The default participation is opaque: the task runs through
-        :meth:`run_compressed` against the shared context, still reusing
-        the single pool build and every cached intermediate (weights,
-        word lists, segments), but without per-rule read sharing.  Tasks
-        override this to expose fused visit hooks.
+        Returns the task's :class:`FusedTask`: its declared needs and the
+        visit hooks the planner calls during its shared sweeps.  The
+        engine calls this inside the *initialization* phase, matching
+        the paper's time accounting: dataset-dependent precomputation
+        done here (e.g. the sequence tasks' per-rule n-gram profiles,
+        which make their init share dominate on large datasets in
+        Table II) belongs to initialization, not traversal.  A custom
+        task that only needs the context returns
+        ``FusedTask(self, TraversalNeeds(), run=...)``.
         """
-        return FusedTask(
-            self, TraversalNeeds(), run=lambda: self.run_compressed(ctx)
-        )
 
     @abstractmethod
     def run_uncompressed(self, ctx: UncompressedTaskContext) -> Any:

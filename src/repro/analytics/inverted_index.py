@@ -9,7 +9,7 @@ from repro.analytics.base import (
     TraversalNeeds,
     UncompressedTaskContext,
 )
-from repro.analytics.perfile import per_file_word_counts, per_file_word_counts_scan
+from repro.analytics.perfile import per_file_word_counts_scan
 
 
 def _extend_postings(
@@ -24,24 +24,17 @@ def _extend_postings(
     return added
 
 
-def _build_postings(counts: list[dict[int, int]], ctx) -> dict[int, list[int]]:
-    """Assemble word -> sorted file-id posting lists."""
-    postings: dict[int, list[int]] = {}
-    total_entries = 0
-    for file_index, file_counts in enumerate(counts):
-        total_entries += _extend_postings(postings, file_index, file_counts, ctx)
-    ctx.ledger.charge("dram", "postings", total_entries * 8 + len(postings) * 16)
-    ctx.ledger.release("dram", "postings", total_entries * 8 + len(postings) * 16)
-    return postings
+def _charge_postings(postings: dict[int, list[int]], entries: int, ctx) -> None:
+    """Book the assembled posting lists' transient DRAM footprint."""
+    nbytes = entries * 8 + len(postings) * 16
+    ctx.ledger.charge("dram", "postings", nbytes)
+    ctx.ledger.release("dram", "postings", nbytes)
 
 
 class InvertedIndex(AnalyticsTask):
     """Word-to-document index over the corpus."""
 
     name = "inverted_index"
-
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, list[int]]:
-        return _build_postings(per_file_word_counts(ctx), ctx)
 
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         postings: dict[int, list[int]] = {}
@@ -51,9 +44,7 @@ class InvertedIndex(AnalyticsTask):
             entries[0] += _extend_postings(postings, file_index, counts, ctx)
 
         def finish() -> dict[int, list[int]]:
-            nbytes = entries[0] * 8 + len(postings) * 16
-            ctx.ledger.charge("dram", "postings", nbytes)
-            ctx.ledger.release("dram", "postings", nbytes)
+            _charge_postings(postings, entries[0], ctx)
             return postings
 
         return FusedTask(
@@ -66,7 +57,12 @@ class InvertedIndex(AnalyticsTask):
     def run_uncompressed(
         self, ctx: UncompressedTaskContext
     ) -> dict[int, list[int]]:
-        return _build_postings(per_file_word_counts_scan(ctx), ctx)
+        postings: dict[int, list[int]] = {}
+        entries = 0
+        for file_index, counts in enumerate(per_file_word_counts_scan(ctx)):
+            entries += _extend_postings(postings, file_index, counts, ctx)
+        _charge_postings(postings, entries, ctx)
+        return postings
 
     @staticmethod
     def reference(files: list[list[int]]) -> dict[int, list[int]]:

@@ -85,27 +85,9 @@ class WordLocate(AnalyticsTask):
                 else:
                     offset += self._explen[sub]  # skipped in O(1)
 
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, list[int]]:
-        pruned = ctx.pruned
-        contains = PBitmap.create(ctx.allocator, pruned.n_rules)
-        for rule in ctx.reverse_topo:
-            self._mark_rule(
-                ctx, contains, rule, pruned.words(rule), pruned.subrules(rule)
-            )
-
-        positions: dict[int, list[int]] = {}
-        for file_index, segment in enumerate(ctx.root_segments()):
-            hits: list[int] = []
-            self._walk(ctx, contains, segment, hits)
-            if hits:
-                positions[file_index] = hits
-            ctx.op_commit()
-        return positions
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
-        # Same two phases as the sequential path, but the contains-bitmap
-        # pass rides the shared bottom-up rule sweep and the document walk
-        # rides the shared segment sweep.
+        # The contains-bitmap pass rides the shared bottom-up rule sweep
+        # and the document walk rides the shared segment sweep.
         contains = PBitmap.create(ctx.allocator, ctx.pruned.n_rules)
         positions: dict[int, list[int]] = {}
 

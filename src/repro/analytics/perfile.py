@@ -9,10 +9,8 @@ Both traversal strategies of Section VI-E are implemented:
   segment-seeded weights (the original TADOC behaviour whose cost is
   O(files x |DAG|)).
 
-Per-file counts are cached on the context, keyed by the strategy that
-produced them, so a fused plan (or several tasks sharing one context)
-charges the device traffic once no matter how many consumers read the
-counts.
+The planner's segment sweep computes each file's counts once, under the
+engine's strategy rule, and hands them to every consumer in the plan.
 """
 
 from __future__ import annotations
@@ -25,38 +23,11 @@ from repro.core.traversal import (
 )
 
 
-def per_file_word_counts(
-    ctx: CompressedTaskContext, strategy: str | None = None
-) -> list[dict[int, int]]:
-    """Word counts per file on the compressed representation (cached).
-
-    Args:
-        ctx: The shared task context.
-        strategy: ``"topdown"`` or ``"bottomup"``; defaults to the
-            context's resolved strategy.  Counts computed under one
-            strategy are cached and reused by every later consumer.
-    """
-    strategy = strategy or ctx.strategy
-    cached = ctx._file_counts.get(strategy)
-    if cached is not None:
-        return cached
-    counts: list[dict[int, int]] = []
-    for segment in ctx.root_segments():
-        file_counts = segment_word_counts(ctx, segment, strategy)
-        ctx.ledger.charge("dram", "file_counts", len(file_counts) * 16)
-        counts.append(file_counts)
-        ctx.op_commit()
-    for file_counts in counts:
-        ctx.ledger.release("dram", "file_counts", len(file_counts) * 16)
-    ctx._file_counts[strategy] = counts
-    return counts
-
-
 def segment_word_counts(
-    ctx: CompressedTaskContext, segment: list[int], strategy: str
+    ctx: CompressedTaskContext, segment: list[int]
 ) -> dict[int, int]:
-    """Word counts for one root-body file segment under ``strategy``."""
-    if strategy == "bottomup":
+    """Word counts for one root-body file segment under ``ctx.strategy``."""
+    if ctx.strategy == "bottomup":
         return merge_segment_counts(
             ctx.pruned, segment, ctx.wordlists(), ctx.clock
         )

@@ -40,9 +40,6 @@ class RankedInvertedIndex(AnalyticsTask):
 
     name = "ranked_inverted_index"
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        compute_rule_profiles(ctx)
-
     def _visit_segment(
         self, ctx, walker, profiles, postings, file_index, segment
     ) -> None:
@@ -58,26 +55,12 @@ class RankedInvertedIndex(AnalyticsTask):
             postings.setdefault(key, []).append((file_index, count))
         ctx.ledger.charge("dram", "rii_file_counts", len(file_counts) * 24)
         ctx.ledger.release("dram", "rii_file_counts", len(file_counts) * 24)
-        ctx.op_commit()
-
-    def run_compressed(
-        self, ctx: CompressedTaskContext
-    ) -> dict[int, list[tuple[int, int]]]:
-        profiles = compute_rule_profiles(ctx)
-        walker = NgramWalker(ctx.pruned, ctx.ngram_n, key_names=ctx.ngram_names)
-        postings: dict[int, list[tuple[int, int]]] = {}
-        for file_index, segment in enumerate(ctx.root_segments()):
-            self._visit_segment(
-                ctx, walker, profiles, postings, file_index, segment
-            )
-        release_rule_profiles(ctx, profiles)
-        _rank(postings, ctx)
-        return postings
 
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         # Joins the fused segment sweep with a custom per-segment visitor
         # (segment-seeded restricted propagation; it does not consume the
-        # shared per-file counts).
+        # shared per-file counts).  The planner commits once per segment,
+        # so the visitor does not.
         profiles = compute_rule_profiles(ctx)
         walker = NgramWalker(ctx.pruned, ctx.ngram_n, key_names=ctx.ngram_names)
         postings: dict[int, list[tuple[int, int]]] = {}

@@ -82,22 +82,6 @@ class WordSearch(AnalyticsTask):
         for word in sorted(found):
             postings[word].append(file_index)
 
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, list[int]]:
-        pruned = ctx.pruned
-        queries = set(self.query_words)
-        bitmaps = self._make_bitmaps(ctx)
-        for rule in ctx.reverse_topo:
-            words = pruned.words(rule)
-            subrules = pruned.subrules(rule)
-            self._mark_rule(ctx, bitmaps, queries, rule, words, subrules)
-            ctx.op_commit()
-        # Scan each document's root segment.
-        postings: dict[int, list[int]] = {w: [] for w in self.query_words}
-        for file_index, segment in enumerate(ctx.root_segments()):
-            self._scan_segment(ctx, bitmaps, queries, postings, file_index, segment)
-            ctx.op_commit()
-        return postings
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         # Rides the shared bottom-up rule sweep (per-rule words/subrules
         # records are read once for every fused consumer) and the shared

@@ -25,9 +25,9 @@ def compute_rule_profiles(ctx: CompressedTaskContext) -> list[dict[int, int]]:
 
     The profiles are transient DRAM working state (charged to the
     ledger); the persistent inputs -- ordered bodies and head/tail
-    buffers -- are read from the pool.  Cached on the context, so the
-    initialization-phase :meth:`AnalyticsTask.prepare` hook computes them
-    once and the traversal reuses them (Table II's accounting).
+    buffers -- are read from the pool.  Cached on the context, so every
+    sequence task in a plan shares one computation, done at fuse time
+    inside the initialization phase (Table II's accounting).
     """
     if ctx.ngram_profiles is not None:
         return ctx.ngram_profiles
@@ -66,41 +66,24 @@ class SequenceCount(AnalyticsTask):
 
     name = "sequence_count"
 
-    def prepare(self, ctx: CompressedTaskContext) -> None:
-        compute_rule_profiles(ctx)
-
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, int]:
-        profiles = compute_rule_profiles(ctx)
-        ctx.ensure_weights()
-        weights = [ctx.pruned.weight(rule) for rule in range(ctx.pruned.n_rules)]
-        return self._combine(ctx, profiles, weights)
-
-    @staticmethod
-    def _combine(ctx, profiles, weights) -> dict[int, int]:
-        ctx.clock.cpu(sum(len(p) for p in profiles))
-        totals = combine_profiles(profiles, weights)
-        release_rule_profiles(ctx, profiles)
-        return totals
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
-        # Rides the fused top-down sweep: the weight each rule carries is
-        # captured from the shared per-rule record read instead of paying
-        # a dedicated weight read per rule.  Profiles are computed at
-        # fuse time, which the planner runs inside the initialization
-        # phase (the same accounting as the sequential prepare() hook).
+        # Profiles are computed here, inside the initialization phase.
+        # The plan's top-down pass propagates the weights; finish() reads
+        # each rule's weight field alone -- it needs no word lists, so it
+        # does not ride the top-down visitors' per-rule record reads.
         profiles = compute_rule_profiles(ctx)
-        weights: list[int] = []
-
-        def visit(rule: int, weight: int, words: list) -> None:
-            weights.append(weight)
 
         def finish() -> dict[int, int]:
-            return self._combine(ctx, profiles, weights)
+            pruned = ctx.pruned
+            weights = [pruned.weight(rule) for rule in range(pruned.n_rules)]
+            ctx.clock.cpu(sum(len(p) for p in profiles))
+            totals = combine_profiles(profiles, weights)
+            release_rule_profiles(ctx, profiles)
+            return totals
 
         return FusedTask(
             self,
             TraversalNeeds(direction="topdown", weights=True, profiles=True),
-            visit_rule=visit,
             finish=finish,
         )
 

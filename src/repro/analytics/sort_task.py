@@ -26,10 +26,6 @@ class Sort(AnalyticsTask):
     def __init__(self) -> None:
         self._word_count = WordCount()
 
-    def run_compressed(self, ctx: CompressedTaskContext) -> list[tuple[int, int]]:
-        counts = self._word_count.run_compressed(ctx)
-        return self._sort(counts, ctx.vocab, ctx)
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
         # Sort is word count plus a dictionary-order sort: ride the same
         # fused sweep as word count (including its word-list alternate,

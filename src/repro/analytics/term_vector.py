@@ -10,7 +10,7 @@ from repro.analytics.base import (
     UncompressedTaskContext,
     charge_sort,
 )
-from repro.analytics.perfile import per_file_word_counts, per_file_word_counts_scan
+from repro.analytics.perfile import per_file_word_counts_scan
 
 
 def _top_k(counts: dict[int, int], k: int, ctx) -> list[tuple[int, int]]:
@@ -33,23 +33,23 @@ class TermVector(AnalyticsTask):
 
     name = "term_vector"
 
-    def run_compressed(
-        self, ctx: CompressedTaskContext
-    ) -> list[list[tuple[int, int]]]:
-        counts = per_file_word_counts(ctx)
-        return [_top_k(c, ctx.term_vector_k, ctx) for c in counts]
-
     def fuse(self, ctx: CompressedTaskContext) -> FusedTask:
-        vectors: list[list[tuple[int, int]]] = []
+        # The planner holds every file's shared counts until its segment
+        # sweep ends; ranking them afterwards keeps the sweep itself to
+        # device work.
+        file_counts: list[dict[int, int]] = []
 
         def visit(file_index: int, segment: list[int], counts: dict) -> None:
-            vectors.append(_top_k(counts, ctx.term_vector_k, ctx))
+            file_counts.append(counts)
+
+        def finish() -> list[list[tuple[int, int]]]:
+            return [_top_k(c, ctx.term_vector_k, ctx) for c in file_counts]
 
         return FusedTask(
             self,
             TraversalNeeds(direction="bottomup", segments=True, file_counts=True),
             visit_segment=visit,
-            finish=lambda: vectors,
+            finish=finish,
         )
 
     def run_uncompressed(

@@ -42,18 +42,6 @@ class WordCount(AnalyticsTask):
             ctx.clock.cpu(len(words))
         ctx.op_commit()
 
-    def run_compressed(self, ctx: CompressedTaskContext) -> dict[int, int]:
-        if self._use_root_wordlist(ctx):
-            root_list = ctx.wordlists()[0]
-            return dict(root_list.items())
-        ctx.ensure_weights()
-        counter = self._make_counter(ctx)
-        pruned = ctx.pruned
-        for rule in range(pruned.n_rules):
-            weight, words = pruned.weight_and_words(rule)
-            self._accumulate(ctx, counter, weight, words)
-        return counter.to_dict()
-
     def _fuse_root_wordlist(self, ctx: CompressedTaskContext) -> FusedTask:
         return FusedTask(
             self,

@@ -133,18 +133,6 @@ def plan_groups(fused: list["FusedTask"]) -> dict[str, list[str]]:
     return groups
 
 
-def counts_strategy_for(ctx: "CompressedTaskContext") -> str:
-    """The per-file counting strategy a fused plan uses.
-
-    Bottom-up reuses the shared word-list pass, so the planner prefers it
-    whenever the user did not explicitly pin top-down -- this is what
-    keeps a mixed plan at one DAG pass per direction.
-    """
-    if ctx.strategy_forced and ctx.strategy == "topdown":
-        return "topdown"
-    return "bottomup"
-
-
 def execute_fused(
     ctx: "CompressedTaskContext", fused: list["FusedTask"]
 ) -> FusedOutcome:
@@ -170,8 +158,7 @@ def execute_fused(
     # a word-list alternate for that alternate -- the plan may drop its
     # top-down pass entirely.
     wordlist_pass_scheduled = any(f.needs.wordlists for f in fused) or (
-        any(f.needs.file_counts for f in fused)
-        and counts_strategy_for(ctx) == "bottomup"
+        any(f.needs.file_counts for f in fused) and ctx.strategy == "bottomup"
     )
     if wordlist_pass_scheduled and not (
         ctx.strategy_forced and ctx.strategy == "topdown"
@@ -198,11 +185,10 @@ def execute_fused(
     need_wordlists = any(f.needs.wordlists for f in fused)
     need_counts = any(f.needs.file_counts for f in fused)
 
-    counts_strategy = None
-    if need_counts:
-        counts_strategy = counts_strategy_for(ctx)
-        if counts_strategy == "bottomup":
-            need_wordlists = True
+    # Per-file counts follow the engine's strategy rule (Section VI-E),
+    # the same one every plan -- a solo run is a plan of one -- reads.
+    if need_counts and ctx.strategy == "bottomup":
+        need_wordlists = True
 
     def timed(f: "FusedTask", hook, label: str):
         op_name = f"task:{f.task.name}:{label}"
@@ -237,8 +223,9 @@ def execute_fused(
             wordlists=False,
             visitors=len(visitors),
         ):
-            bottomup_rule_sweep(ctx.pruned, ctx.reverse_topo, visitors)
-            ctx.op_commit()
+            bottomup_rule_sweep(
+                ctx.pruned, ctx.reverse_topo, visitors, ctx.op_commit
+            )
 
     # --- top-down pass: weight propagation + one record read per rule --
     if need_weights or topdown:
@@ -273,7 +260,7 @@ def execute_fused(
             for file_index, segment in enumerate(segments):
                 counts = None
                 if need_counts:
-                    counts = segment_word_counts(ctx, segment, counts_strategy)
+                    counts = segment_word_counts(ctx, segment)
                     ctx.ledger.charge("dram", "file_counts", len(counts) * 16)
                     shared_counts.append(counts)
                 for f, call in callbacks:
@@ -282,10 +269,8 @@ def execute_fused(
                     else:
                         call(file_index, segment, None)
                 ctx.op_commit()
-            if need_counts:
-                for counts in shared_counts:
-                    ctx.ledger.release("dram", "file_counts", len(counts) * 16)
-                ctx._file_counts.setdefault(counts_strategy, shared_counts)
+            for counts in shared_counts:
+                ctx.ledger.release("dram", "file_counts", len(counts) * 16)
 
     # --- opaque fallbacks, then finishers, in submission order ---------
     results: list[Any] = []

@@ -231,13 +231,17 @@ def _compute_wordlists_bottomup(
     return tables  # type: ignore[return-value]
 
 
-def bottomup_rule_sweep(pruned: PrunedDag, reverse_topo: list[int], visitors: tuple) -> None:
+def bottomup_rule_sweep(
+    pruned: PrunedDag, reverse_topo: list[int], visitors: tuple, op_commit
+) -> None:
     """One reverse-topological DAG pass feeding per-rule visitors.
 
     Used by the planner when bottom-up consumers (search/locate marking)
     are fused *without* word-list construction: each rule's entry lists
     are read once (a single contiguous record read) and handed to every
-    ``(rule, words, subrules)`` visitor.
+    ``(rule, words, subrules)`` visitor.  The visitors' marks are pool
+    writes, so each rule is one operation (``op_commit`` after it), as
+    in :func:`compute_wordlists_bottomup`.
     """
     with obs.span(
         "traversal:bottomup_sweep",
@@ -249,6 +253,7 @@ def bottomup_rule_sweep(pruned: PrunedDag, reverse_topo: list[int], visitors: tu
             subs, words = pruned.entries(rule)
             for visit in visitors:
                 visit(rule, words, subs)
+            op_commit()
 
 
 def merge_segment_counts(

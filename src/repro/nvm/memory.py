@@ -423,6 +423,11 @@ class SimulatedMemory:
         #: happens per visit, in order.
         pend: dict[int, int] | None = None if collect else {}
         pend_get = pend.get if pend is not None else None
+        #: Sign of the deltas pended so far (0 until the first non-zero).
+        #: Same-sign partial sums are monotone, so a pended sum overflows
+        #: exactly when some one-by-one call would; a sign change could
+        #: cross a width limit and come back, so it ends pending.
+        sign = 0
         total = 0.0
         device = 0.0
         hits = 0
@@ -459,6 +464,12 @@ class SimulatedMemory:
 
         try:
             for offset, delta in pairs:
+                if pend is not None and delta:
+                    if not sign:
+                        sign = 1 if delta > 0 else -1
+                    elif (delta > 0) != (sign > 0):
+                        sync()
+                        pend = None
                 if offset < 0 or offset + size > device_size:
                     raise InvalidAccessError(
                         f"{self.name}: access [{offset}, {offset + size}) "
@@ -518,7 +529,8 @@ class SimulatedMemory:
                     end = offset + size
                     value = from_bytes(buf[offset:end], "little", signed=signed) + delta
                     buf[offset:end] = value.to_bytes(size, "little", signed=signed)
-                    values.append(value)
+                    if values is not None:
+                        values.append(value)
                 n_ops += 1
         finally:
             sync()

@@ -373,6 +373,47 @@ def test_rmw_add_each_overflows_like_sequential_rmw_add(size, signed, start, del
     assert (expected == "overflow") == (not low <= start + delta <= high)
 
 
+#: (size, signed) -> (start, first delta, second delta): a same-site pair
+#: whose first step crosses a width limit and whose second comes back, so
+#: the summed delta lands in range.
+_CROSS_AND_BACK = [
+    (size, signed, start, first, second)
+    for size, signed in ((4, False), (4, True), (8, False), (8, True))
+    for start, first, second in (
+        ((1 << (8 * size - signed)) - 11, 100, -200),  # over the top, back
+        (-(1 << (8 * size - 1)) + 10 if signed else 10, -100, 200),  # under
+    )
+]
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("size,signed,start,first,second", _CROSS_AND_BACK)
+def test_rmw_add_each_mixed_sign_batch_overflows_like_sequential_rmw_add(
+    reference, size, signed, start, first, second
+):
+    """A batch whose same-site deltas cross a width limit and come back
+    raises where the one-by-one ``rmw_add`` calls raise, although the
+    summed deltas fit."""
+    low = -(1 << (8 * size - 1)) if signed else 0
+    high = (1 << (8 * size - signed)) - 1
+    assert low <= start + first + second <= high
+    offsets = [i * 8 for i in range(40)]
+    sites = [(o, first) for o in offsets] + [(o, second) for o in offsets]
+
+    def memory() -> SimulatedMemory:
+        mem = SimulatedMemory(DeviceProfile.nvm(), 1 << 16, reference=reference)
+        for offset in offsets:
+            mem.poke(offset, start.to_bytes(size, "little", signed=signed))
+        return mem
+
+    with pytest.raises(OverflowError):
+        sequential = memory()
+        for offset, delta in sites:
+            sequential.rmw_add(offset, size, delta, signed=signed)
+    with pytest.raises(OverflowError):
+        memory().rmw_add_each(sites, size, signed=signed)
+
+
 @pytest.mark.parametrize("reference", [False, True])
 def test_out_of_range_access_fault_hooks_match_read_and_write(reference):
     """An out-of-range access raises before any read hook fires, so it

@@ -6,6 +6,7 @@ import pytest
 from repro.analytics.sequence_count import SequenceCount
 from repro.analytics.word_count import WordCount
 from repro.core.engine import (
+    BOTTOMUP_RATIO,
     EngineConfig,
     NTadocEngine,
     check_pool_fits,
@@ -88,10 +89,17 @@ class TestStrategyResolution:
         run = NTadocEngine(corpus).run(WordCount())
         assert run.strategy == "topdown"
 
-    def test_auto_bottomup_above_threshold(self, corpus):
-        config = EngineConfig(bottomup_threshold=2)
-        run = NTadocEngine(corpus, config).run(WordCount())
-        assert run.strategy == "bottomup"
+    def test_auto_bottomup_above_threshold(self):
+        # Ten times the fixture's files over the same grammar: top-down's
+        # per-file sweeps (files x grammar length) now outweigh the
+        # word-list volume bottom-up builds (sum of the bounds) by more
+        # than BOTTOMUP_RATIO, where the fixture's ratio sits below it.
+        files = [(f"f{i}", "epsilon zeta eta " * 12 + f"unique{i}") for i in range(60)]
+        many = compress_files(files)
+        engine = NTadocEngine(many)
+        ratio = many.n_files * many.grammar_length() / sum(engine._bounds)
+        assert ratio > BOTTOMUP_RATIO
+        assert engine.run(WordCount()).strategy == "bottomup"
 
     def test_pinned_strategy_wins(self, corpus):
         config = EngineConfig(traversal="bottomup")

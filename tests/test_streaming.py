@@ -112,7 +112,7 @@ class TestMergedResults:
         class Opaque:
             name = "opaque"
 
-            def run_compressed(self, ctx):
+            def fuse(self, ctx):
                 return object()
 
         with pytest.raises(ReproError):

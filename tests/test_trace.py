@@ -121,16 +121,16 @@ class TestEngineRunManyTrace:
         engine = NTadocEngine(corpus, config)
 
         captured = {}
-        original_fresh_state = engine._fresh_state
+        original_new_state = engine._new_state
 
-        def recording_fresh_state(*args, **kwargs):
-            state = original_fresh_state(*args, **kwargs)
+        def recording_new_state(*args, **kwargs):
+            state = original_new_state(*args, **kwargs)
             recorder = record_trace(state.pool_mem)
             captured["trace"] = recorder.__enter__()
             captured["recorder"] = recorder
             return state
 
-        engine._fresh_state = recording_fresh_state
+        engine._new_state = recording_new_state
         try:
             plan = engine.run_many([WordCount(), InvertedIndex(), TermVector()])
         finally:
