@@ -2,8 +2,8 @@
 
 The distributed-system application of Section III-C, in streaming form
 (cf. CompressStreamDB from the paper's related work): batches of log
-files arrive over time, each batch is compressed into its own chunk
-against a shared dictionary, and analytics merge exactly across chunks
+files arrive over time, each batch is sealed into its own segment
+against a shared dictionary, and analytics merge exactly across segments
 -- without ever decompressing earlier days.
 
 Run with::
@@ -11,10 +11,9 @@ Run with::
     python examples/log_stream.py
 """
 
-from repro.analytics.word_count import WordCount, render_word_counts
-from repro.analytics.sequence_count import SequenceCount, render_sequence_counts
-from repro.core.streaming import StreamingCorpus
+from repro.core.engine import EngineConfig
 from repro.datasets.generator import CorpusSpec, generate_corpus_files
+from repro.ingest import SegmentedEngine
 
 
 def nightly_batches(nights=4, files_per_night=6):
@@ -37,30 +36,33 @@ def nightly_batches(nights=4, files_per_night=6):
 
 
 def main() -> None:
-    stream = StreamingCorpus()
+    # Seal once per night, not on a token threshold.
+    stream = SegmentedEngine(EngineConfig(), seal_threshold_tokens=1 << 30)
     for night, batch in enumerate(nightly_batches(), start=1):
-        chunk = stream.ingest(batch)
-        tokens = sum(len(f) for f in chunk.expand_files())
+        for name, text in batch:
+            stream.append(name, text)
+        segment = stream.seal()
+        tokens = sum(len(f) for f in segment.corpus.expand_files())
         print(
-            f"night {night}: ingested {chunk.n_files} files "
-            f"({tokens} words -> {chunk.grammar_length()} grammar symbols)"
+            f"night {night}: ingested {segment.n_docs} files "
+            f"({tokens} words -> {segment.corpus.grammar_length()} grammar "
+            f"symbols)"
         )
 
-        merged = stream.run(WordCount())
-        counts = render_word_counts(merged.result, stream.vocab)
+        merged = stream.run_tasks(["word_count"])
+        counts = merged.rendered["word_count"]
         top = sorted(counts.items(), key=lambda p: -p[1])[:3]
         summary = ", ".join(f"{w}={c}" for w, c in top)
         print(
-            f"  running totals over {stream.n_files} files: {summary}  "
-            f"({merged.total_ns / 1e6:.2f} simulated ms across "
-            f"{len(merged.chunk_ns)} chunk(s))"
+            f"  running totals over {stream.corpus.n_live} files: {summary}  "
+            f"({merged.query_ns / 1e6:.2f} simulated ms across "
+            f"{merged.n_segments} segment(s))"
         )
 
     print("\nmost frequent word pairs across the whole stream:")
-    merged = stream.run(SequenceCount())
-    pairs = render_sequence_counts(merged.result, merged.ngram_names, stream.vocab)
+    pairs = stream.run_tasks(["sequence_count"]).rendered["sequence_count"]
     for ngram, count in sorted(pairs.items(), key=lambda p: -p[1])[:5]:
-        print(f"  {' '.join(ngram):24s} {count}")
+        print(f"  {ngram:24s} {count}")
 
 
 if __name__ == "__main__":

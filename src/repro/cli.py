@@ -7,15 +7,14 @@ Commands::
     stats       Table-I style statistics of a corpus
     dataset     generate a synthetic A/B/C/D profile corpus
     ingest      replay an append/delete trace through the segmented engine
-    run         run one analytics task under one system
+    run         run analytics task(s) under one system; --wear, --profile
+                and --metrics observe the run
     compare     run one task under several systems, print speedups
     search      find the documents containing given words
     query       boolean document query ("error AND NOT retry")
     reproduce   regenerate a paper figure/table (wraps the benchmarks)
-    profile     trace one run: span tree, hot spans, exporters, snapshots
+    crashsweep  enumerate crash points and verify recovery
     faultsweep  enumerate media-fault points and verify the resilience triad
-    wear        run task(s) with wear tracking, print the endurance report
-    metrics     run task(s), print the always-on metrics registry
     blackbox    decode the crash-persistent flight recorder from an image
     lint        run nvmlint, the NVM access-discipline checker
 """
@@ -23,13 +22,17 @@ Commands::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from repro.analytics import ALL_TASKS, task_by_name
 from repro.core.engine import EngineConfig, serialized_size
+from repro.core.grammar import CompressedCorpus
 from repro.datasets.profiles import PROFILES, dataset_files
-from repro.harness.runner import SYSTEMS, run_system
+from repro.errors import CorruptDataError
+from repro.harness.runner import SYSTEMS, build_engine, run_system
 from repro.metrics.report import (
     comparison_report,
     format_bytes,
@@ -40,6 +43,51 @@ from repro.sequitur import serialization
 from repro.sequitur.compressor import compress_files
 
 _TASK_NAMES = [cls.name for cls in ALL_TASKS]
+
+
+def _scale(text: str) -> float:
+    """argparse type for ``--scale``: a positive, finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"scale must be positive and finite, not {text!r}"
+        )
+    return value
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Reject bad input in one line with argparse's exit status."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _task_names(spec: str) -> list[str]:
+    """Parse ``task[,task...]``; exit 2 on an unknown or empty list."""
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    unknown = [name for name in names if name not in _TASK_NAMES]
+    if not names or unknown:
+        bad = ", ".join(unknown) or "(empty)"
+        _usage_error(
+            f"unknown task(s): {bad}; choose from {', '.join(_TASK_NAMES)}"
+        )
+    return names
+
+
+def _synthetic(dataset: str, scale: float | None) -> bool:
+    """True when ``dataset`` names a profile to generate at ``scale``."""
+    return scale is not None and dataset in PROFILES and not Path(dataset).exists()
+
+
+def _load_corpus(dataset: str, scale: float | None = None) -> CompressedCorpus:
+    """The one corpus loader: a ``.ntdc`` path or, given a ``scale``, a
+    synthetic profile letter.  An unreadable or corrupt file prints one
+    line and exits 2."""
+    if _synthetic(dataset, scale):
+        return compress_files(dataset_files(dataset, scale))
+    try:
+        return serialization.load(dataset)
+    except (OSError, CorruptDataError) as exc:
+        _usage_error(f"cannot load corpus {dataset}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,16 +107,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("decompress", help="expand a corpus back to text")
-    p.add_argument("corpus", type=Path)
+    p.add_argument("corpus")
     p.add_argument("-d", "--directory", type=Path, default=Path("."))
 
     p = sub.add_parser("stats", help="show corpus statistics")
-    p.add_argument("corpus", type=Path)
+    p.add_argument("corpus")
 
     p = sub.add_parser("dataset", help="generate a synthetic dataset profile")
     p.add_argument("profile", choices=sorted(PROFILES))
     p.add_argument("-o", "--output", type=Path, required=True)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_scale, default=1.0)
 
     p = sub.add_parser(
         "ingest",
@@ -118,7 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also time recompress-from-scratch at the final checkpoint",
     )
 
-    p = sub.add_parser("run", help="run one analytics task (or a fused list)")
+    p = sub.add_parser(
+        "run",
+        help="run analytics task(s); --wear/--profile/--metrics observe "
+        "the run",
+    )
     p.add_argument(
         "task",
         metavar="task[,task...]",
@@ -126,17 +178,108 @@ def _build_parser() -> argparse.ArgumentParser:
         "comma-separated list runs all of them through the "
         "shared-traversal planner (one pool build, fused DAG passes)",
     )
-    p.add_argument("corpus", type=Path)
+    p.add_argument(
+        "dataset",
+        help="corpus path, or a synthetic profile letter "
+        f"({'/'.join(sorted(PROFILES))}) generated at --scale",
+    )
     p.add_argument("--system", choices=sorted(SYSTEMS), default="ntadoc")
+    p.add_argument(
+        "--scale",
+        type=_scale,
+        default=0.5,
+        help="synthetic dataset scale (profile-letter datasets only)",
+    )
     p.add_argument(
         "--traversal", choices=("auto", "topdown", "bottomup"), default="auto"
     )
     p.add_argument("--ngram", type=int, default=2, help="sequence length")
-    p.add_argument("--top", type=int, default=10, help="result rows to print")
+    p.add_argument(
+        "--top",
+        type=int,
+        default=10,
+        help="rows per table (results, hottest lines, hot spans)",
+    )
+    obs = p.add_argument_group(
+        "observation (N-TADOC systems only; docs/observability.md)"
+    )
+    obs.add_argument(
+        "--wear",
+        action="store_true",
+        help="track wear and print the endurance report",
+    )
+    obs.add_argument(
+        "--endurance",
+        type=int,
+        default=10**7,
+        help="per-line endurance budget for the --wear lifetime estimate",
+    )
+    obs.add_argument(
+        "--profile",
+        action="store_true",
+        help="run under the span tracer: span tree, hot spans, op counters",
+    )
+    obs.add_argument(
+        "--depth",
+        type=int,
+        default=None,
+        help="--profile: record spans only down to this nesting depth",
+    )
+    obs.add_argument(
+        "--trace-out",
+        type=Path,
+        default=None,
+        help="--profile: write Chrome trace-event JSON (Perfetto)",
+    )
+    obs.add_argument(
+        "--snapshot-out",
+        type=Path,
+        default=None,
+        help="--profile: write a canonical perf-snapshot JSON",
+    )
+    obs.add_argument(
+        "--baseline",
+        type=Path,
+        default=None,
+        help="--profile: diff the snapshot against this baseline; exit 1 "
+        "on regression",
+    )
+    obs.add_argument(
+        "--tolerance",
+        type=float,
+        default=0.10,
+        help="relative regression tolerance for --baseline (default 0.10)",
+    )
+    obs.add_argument(
+        "--metrics",
+        choices=("prom", "json"),
+        default=None,
+        help="print the always-on metrics registry: Prometheus text "
+        "exposition or the canonical JSON snapshot",
+    )
+    obs.add_argument(
+        "--metrics-out",
+        type=Path,
+        default=None,
+        help="--metrics: write the exposition/snapshot here instead of stdout",
+    )
+    obs.add_argument(
+        "--events",
+        type=int,
+        default=0,
+        metavar="N",
+        help="--metrics: also print the last N structured journal events",
+    )
+    obs.add_argument(
+        "--image-out",
+        type=Path,
+        default=None,
+        help="dump the post-run pool image (feed it to 'blackbox')",
+    )
 
     p = sub.add_parser("compare", help="compare systems on one task")
     p.add_argument("task", choices=_TASK_NAMES)
-    p.add_argument("corpus", type=Path)
+    p.add_argument("corpus")
     p.add_argument(
         "--systems",
         nargs="+",
@@ -145,13 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("search", help="find documents containing words")
-    p.add_argument("corpus", type=Path)
+    p.add_argument("corpus")
     p.add_argument("words", nargs="+")
 
     p = sub.add_parser(
         "query", help='boolean document query, e.g. "error AND NOT retry"'
     )
-    p.add_argument("corpus", type=Path)
+    p.add_argument("corpus")
     p.add_argument("expression")
 
     p = sub.add_parser(
@@ -166,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=1.0,
         help="dataset scale (1.0 = the calibrated EXPERIMENTS.md scale)",
     )
@@ -223,142 +366,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "wear",
-        help="run task(s) with wear tracking, print the endurance report",
-    )
-    p.add_argument(
-        "task",
-        metavar="task[,task...]",
-        help=f"task name from {{{','.join(_TASK_NAMES)}}}; a "
-        "comma-separated list runs one fused plan",
-    )
-    p.add_argument("corpus", type=Path)
-    p.add_argument(
-        "--traversal", choices=("auto", "topdown", "bottomup"), default="auto"
-    )
-    p.add_argument("--ngram", type=int, default=2, help="sequence length")
-    p.add_argument(
-        "--top", type=int, default=10, help="rows in the hottest-lines table"
-    )
-    p.add_argument(
-        "--endurance",
-        type=int,
-        default=10**7,
-        help="per-line endurance budget for the lifetime estimate",
-    )
-
-    p = sub.add_parser(
-        "profile",
-        help="run task(s) under the span tracer (docs/observability.md)",
-    )
-    p.add_argument(
-        "dataset",
-        help="corpus path, or a synthetic profile letter "
-        f"({'/'.join(sorted(PROFILES))}) generated at --scale",
-    )
-    p.add_argument(
-        "task",
-        metavar="task[,task...]",
-        help=f"task name from {{{','.join(_TASK_NAMES)}}}; a "
-        "comma-separated list profiles one fused plan",
-    )
-    p.add_argument(
-        "--scale",
-        type=float,
-        default=0.5,
-        help="synthetic dataset scale (profile-letter datasets only)",
-    )
-    p.add_argument(
-        "--traversal", choices=("auto", "topdown", "bottomup"), default="auto"
-    )
-    p.add_argument("--ngram", type=int, default=2, help="sequence length")
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="record spans only down to this nesting depth",
-    )
-    p.add_argument(
-        "--top", type=int, default=15, help="rows in the hot-spans table"
-    )
-    p.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        help="write Chrome trace-event JSON (chrome://tracing, Perfetto)",
-    )
-    p.add_argument(
-        "--snapshot-out",
-        type=Path,
-        default=None,
-        help="write a canonical perf-snapshot JSON",
-    )
-    p.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="diff the snapshot against this baseline; exit 1 on regression",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="relative regression tolerance for --baseline (default 0.10)",
-    )
-
-    p = sub.add_parser(
-        "metrics",
-        help="run task(s), print the always-on metrics registry "
-        "(docs/observability.md)",
-    )
-    p.add_argument(
-        "dataset",
-        help="corpus path, or a synthetic profile letter "
-        f"({'/'.join(sorted(PROFILES))}) generated at --scale",
-    )
-    p.add_argument(
-        "task",
-        metavar="task[,task...]",
-        help=f"task name from {{{','.join(_TASK_NAMES)}}}; a "
-        "comma-separated list runs one fused plan",
-    )
-    p.add_argument(
-        "--scale",
-        type=float,
-        default=0.5,
-        help="synthetic dataset scale (profile-letter datasets only)",
-    )
-    p.add_argument(
-        "--traversal", choices=("auto", "topdown", "bottomup"), default="auto"
-    )
-    p.add_argument("--ngram", type=int, default=2, help="sequence length")
-    p.add_argument(
-        "--format",
-        choices=("prom", "json"),
-        default="prom",
-        help="Prometheus text exposition or the canonical JSON snapshot",
-    )
-    p.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the exposition/snapshot here instead of stdout",
-    )
-    p.add_argument(
-        "--events",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also print the last N structured journal events",
-    )
-    p.add_argument(
-        "--image-out",
-        type=Path,
-        default=None,
-        help="dump the post-run pool image (feed it to 'blackbox')",
-    )
-
-    p = sub.add_parser(
         "blackbox",
         help="decode the crash-persistent flight recorder from a pool "
         "image (docs/observability.md)",
@@ -367,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "image",
         type=Path,
         help="device image file: a SimulatedMemory backing file, or the "
-        "dump written by 'metrics --image-out'",
+        "dump written by 'run --image-out'",
     )
     p.add_argument(
         "--tail",
@@ -403,7 +410,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_decompress(args) -> int:
-    corpus = serialization.load(args.corpus)
+    corpus = _load_corpus(args.corpus)
     args.directory.mkdir(parents=True, exist_ok=True)
     for name, text in zip(corpus.file_names, corpus.expand_text()):
         target = args.directory / Path(name).name
@@ -415,7 +422,7 @@ def _cmd_decompress(args) -> int:
 def _cmd_stats(args) -> int:
     from repro.core.stats import grammar_stats, rule_length_histogram
 
-    corpus = serialization.load(args.corpus)
+    corpus = _load_corpus(args.corpus)
     stats = grammar_stats(corpus)
     print(stats.describe())
     print(f"on-disk size     : {format_bytes(serialized_size(corpus))}")
@@ -488,18 +495,9 @@ def _render_result(run, corpus, top: int) -> None:
 
 def _cmd_ingest(args) -> int:
     from repro.ingest import SegmentedEngine
-    from repro.ingest.merge import MERGEABLE_TASKS
     from repro.ingest.trace import parse_trace, replay_trace, synthetic_trace
 
-    names = [name.strip() for name in args.tasks.split(",") if name.strip()]
-    unknown = [name for name in names if name not in MERGEABLE_TASKS]
-    if not names or unknown:
-        bad = ", ".join(unknown) or "(empty)"
-        print(
-            f"unknown task(s): {bad}; choose from {', '.join(MERGEABLE_TASKS)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    names = _task_names(args.tasks)
     if args.trace == "synthetic":
         ops = synthetic_trace(
             n_docs=args.docs, rounds=args.rounds, seed=args.seed
@@ -562,40 +560,173 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    names = [name.strip() for name in args.task.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _TASK_NAMES]
-    if not names or unknown:
-        bad = ", ".join(unknown) or "(empty)"
-        print(
-            f"unknown task(s): {bad}; choose from {', '.join(_TASK_NAMES)}",
-            file=sys.stderr,
-        )
-        # Same contract as an argparse choices violation.
-        raise SystemExit(2)
-    corpus = serialization.load(args.corpus)
-    config = EngineConfig(traversal=args.traversal, ngram_n=args.ngram)
-    if len(names) == 1:
-        run = run_system(args.system, corpus, task_by_name(names[0]), config)
-        print(run_report(run))
-        _render_result(run, corpus, args.top)
-        return 0
-    from repro.harness.runner import run_many_system
-    from repro.metrics.report import plan_report
+#: Observation flags that need their parent flag.
+_NEEDS = (
+    ("depth", "profile"),
+    ("trace_out", "profile"),
+    ("snapshot_out", "profile"),
+    ("baseline", "profile"),
+    ("metrics_out", "metrics"),
+    ("events", "metrics"),
+)
 
-    plan = run_many_system(
-        args.system, corpus, [task_by_name(name) for name in names], config
+
+def _cmd_run(args) -> int:
+    names = _task_names(args.task)
+    for flag, parent in _NEEDS:
+        if getattr(args, flag) and not getattr(args, parent):
+            _usage_error(f"--{flag.replace('_', '-')} needs --{parent}")
+    observing = args.wear or args.profile or args.metrics or args.image_out
+    if observing and not args.system.startswith("ntadoc"):
+        _usage_error(
+            f"--wear/--profile/--metrics/--image-out need an N-TADOC "
+            f"--system, not {args.system}"
+        )
+    corpus = _load_corpus(args.dataset, args.scale)
+    tracer = None
+    if args.profile:
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer(max_depth=args.depth)
+    config = EngineConfig(
+        traversal=args.traversal,
+        ngram_n=args.ngram,
+        track_wear=args.wear,
+        tracer=tracer,
     )
-    print(plan_report(plan))
-    for run in plan.results:
-        print()
+    engine = build_engine(args.system, corpus, config)
+    tasks = [task_by_name(name) for name in names]
+    if len(tasks) == 1:
+        runs = [engine.run(tasks[0])]
+        total_ns = runs[0].total_ns
+    else:
+        from repro.metrics.report import plan_report
+
+        plan = engine.run_many(tasks)
+        print(plan_report(plan))
+        runs = plan.results
+        total_ns = plan.total_ns
+    for run in runs:
+        if len(runs) > 1:
+            print()
         print(run_report(run))
         _render_result(run, corpus, args.top)
-    return 0
+    status = 0
+    if args.profile:
+        source = args.dataset
+        if _synthetic(args.dataset, args.scale):
+            source = f"{args.dataset}@{args.scale:g}"
+        workload = f"{source} {args.traversal} {','.join(names)}"
+        status = _profile_report(args, tracer, total_ns, workload)
+    if args.wear:
+        _wear_report(args, engine, names, total_ns)
+    if args.metrics:
+        _metrics_report(args, engine, names, total_ns)
+    if args.image_out is not None:
+        from repro.nvm.flightrec import device_image
+
+        memory = engine.last_state.pool_mem
+        args.image_out.write_bytes(device_image(memory))
+        print(f"wrote pool image {args.image_out} ({format_bytes(memory.size)})")
+    return status
+
+
+def _profile_report(args, tracer, total_ns: float, workload: str) -> int:
+    """--profile: span tree, hot spans, exporters, snapshot gate."""
+    from repro.metrics.report import hot_spans_report, ops_report, trace_report
+    from repro.obs import snapshot as snapshot_mod
+    from repro.obs.export import write_chrome_trace
+
+    print()
+    print(trace_report(tracer, max_depth=args.depth))
+    print()
+    print(hot_spans_report(tracer, top=args.top))
+    if tracer.ops:
+        print()
+        print(ops_report(tracer))
+    print()
+    traced = tracer.total_sim_ns()
+    print(
+        f"run total : {format_ns(total_ns)} simulated "
+        f"({format_ns(traced)} traced, "
+        f"{traced / total_ns * 100 if total_ns else 100:.1f}% covered)"
+    )
+    if args.trace_out is not None:
+        size = write_chrome_trace(tracer, args.trace_out)
+        print(f"wrote Chrome trace {args.trace_out} ({format_bytes(size)})")
+    snapshot = snapshot_mod.build_snapshot(tracer, workload=workload)
+    if args.snapshot_out is not None:
+        snapshot_mod.save(snapshot, args.snapshot_out)
+        print(f"wrote perf snapshot {args.snapshot_out}")
+    if args.baseline is None:
+        return 0
+    baseline = snapshot_mod.load(args.baseline)
+    diff = snapshot_mod.diff_snapshots(baseline, snapshot, rel_tol=args.tolerance)
+    print()
+    print(snapshot_mod.format_diff(diff, rel_tol=args.tolerance))
+    return 0 if diff.ok else 1
+
+
+def _wear_report(args, engine, names: list[str], total_ns: float) -> None:
+    """--wear: endurance report of the run's pool."""
+    from repro.nvm.wear import hottest_lines, wear_report
+
+    memory = engine.last_state.pool_mem
+    report = wear_report(memory)
+    line_size = memory.profile.line_size
+    print()
+    print(f"wear report for {','.join(names)} ({format_ns(total_ns)} simulated)")
+    print(f"  line programs   : {report.total_programs}")
+    print(f"  lines touched   : {report.lines_touched}")
+    print(f"  hottest line    : {report.max_line_programs} programs")
+    print(f"  mean per line   : {report.mean_line_programs:.2f} programs")
+    print(f"  imbalance       : {report.imbalance:.2f}x the mean")
+    print(
+        f"  lifetime used   : "
+        f"{report.lifetime_fraction_used(args.endurance) * 100:.6f}% of "
+        f"{args.endurance} cycles (hottest line)"
+    )
+    ranked = hottest_lines(memory, args.top)
+    if ranked:
+        print(f"  top {len(ranked)} hottest lines:")
+        print("    line     offset  programs")
+        for line, programs in ranked:
+            print(f"    {line:>6d} {line * line_size:>8d} {programs:>9d}")
+
+
+def _metrics_report(args, engine, names: list[str], total_ns: float) -> None:
+    """--metrics: the always-on registry, plus the journal's tail."""
+    import json as json_mod
+
+    print()
+    text = (
+        engine.metrics.to_json()
+        if args.metrics == "json"
+        else engine.metrics.expose()
+    )
+    if args.metrics_out is not None:
+        args.metrics_out.write_text(text, encoding="utf-8")
+        print(f"wrote {args.metrics_out} ({format_bytes(len(text))})")
+    else:
+        print(text, end="")
+    print(
+        f"# run total: {','.join(names)} in {format_ns(total_ns)} simulated, "
+        f"{len(engine.journal.events)} journal event(s)"
+    )
+    if args.events:
+        print(f"# last {args.events} journal event(s):")
+        for event in engine.journal.events[-args.events :]:
+            detail = json_mod.dumps(
+                event.detail, sort_keys=True, separators=(",", ":"), default=str
+            )
+            print(
+                f"#   {event.sim_ns:>12.1f}ns {event.severity:<7s} "
+                f"{event.type} {detail}"
+            )
 
 
 def _cmd_compare(args) -> int:
-    corpus = serialization.load(args.corpus)
+    corpus = _load_corpus(args.corpus)
     # Every system's engine is built over the same corpus object, so the
     # corpus-derived analysis (DAG view, topological orders, Algorithm-2
     # bounds, head/tail lists) and the baseline's expanded token lists
@@ -617,7 +748,7 @@ def _cmd_search(args) -> int:
     from repro.analytics.search import WordSearch
     from repro.core.engine import NTadocEngine
 
-    corpus = serialization.load(args.corpus)
+    corpus = _load_corpus(args.corpus)
     word_ids = []
     for word in args.words:
         lowered = word.lower()
@@ -638,7 +769,7 @@ def _cmd_search(args) -> int:
 def _cmd_query(args) -> int:
     from repro.analytics.query import QueryEngine, QueryError
 
-    corpus = serialization.load(args.corpus)
+    corpus = _load_corpus(args.corpus)
     engine = QueryEngine(corpus)
     try:
         matches = engine.query_names(args.expression)
@@ -730,192 +861,6 @@ def _cmd_faultsweep(args) -> int:
     return 1 if violations else 0
 
 
-def _cmd_wear(args) -> int:
-    from repro.core.engine import NTadocEngine
-    from repro.nvm.wear import hottest_lines, wear_report
-
-    names = [name.strip() for name in args.task.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _TASK_NAMES]
-    if not names or unknown:
-        bad = ", ".join(unknown) or "(empty)"
-        print(
-            f"unknown task(s): {bad}; choose from {', '.join(_TASK_NAMES)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    corpus = serialization.load(args.corpus)
-    config = EngineConfig(
-        traversal=args.traversal, ngram_n=args.ngram, track_wear=True
-    )
-    engine = NTadocEngine(corpus, config)
-    tasks = [task_by_name(name) for name in names]
-    if len(tasks) == 1:
-        run = engine.run_resilient(tasks[0])
-        total_ns = run.total_ns
-    else:
-        plan = engine.run_many_resilient(tasks)
-        total_ns = plan.total_ns
-    memory = engine.last_state.pool_mem
-    report = wear_report(memory)
-    line_size = memory.profile.line_size
-    print(f"wear report for {','.join(names)} ({format_ns(total_ns)} simulated)")
-    print(f"  line programs   : {report.total_programs}")
-    print(f"  lines touched   : {report.lines_touched}")
-    print(f"  hottest line    : {report.max_line_programs} programs")
-    print(f"  mean per line   : {report.mean_line_programs:.2f} programs")
-    print(f"  imbalance       : {report.imbalance:.2f}x the mean")
-    print(
-        f"  lifetime used   : "
-        f"{report.lifetime_fraction_used(args.endurance) * 100:.6f}% of "
-        f"{args.endurance} cycles (hottest line)"
-    )
-    ranked = hottest_lines(memory, args.top)
-    if ranked:
-        print(f"  top {len(ranked)} hottest lines:")
-        print("    line     offset  programs")
-        for line, programs in ranked:
-            print(f"    {line:>6d} {line * line_size:>8d} {programs:>9d}")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    from repro.core.engine import NTadocEngine
-    from repro.metrics.report import hot_spans_report, ops_report, trace_report
-    from repro.obs import snapshot as snapshot_mod
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.tracer import Tracer
-
-    names = [name.strip() for name in args.task.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _TASK_NAMES]
-    if not names or unknown:
-        bad = ", ".join(unknown) or "(empty)"
-        print(
-            f"unknown task(s): {bad}; choose from {', '.join(_TASK_NAMES)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-
-    dataset = args.dataset
-    if dataset in PROFILES and not Path(dataset).exists():
-        corpus = compress_files(dataset_files(dataset, args.scale))
-        workload = (
-            f"{dataset}@{args.scale:g} {args.traversal} {','.join(names)}"
-        )
-    else:
-        corpus = serialization.load(Path(dataset))
-        workload = f"{dataset} {args.traversal} {','.join(names)}"
-
-    tracer = Tracer(max_depth=args.depth)
-    config = EngineConfig(
-        traversal=args.traversal, ngram_n=args.ngram, tracer=tracer
-    )
-    engine = NTadocEngine(corpus, config)
-    if len(names) == 1:
-        run = engine.run(task_by_name(names[0]))
-        total_ns = run.total_ns
-    else:
-        plan = engine.run_many([task_by_name(name) for name in names])
-        total_ns = plan.total_ns
-
-    print(trace_report(tracer, max_depth=args.depth))
-    print()
-    print(hot_spans_report(tracer, top=args.top))
-    if tracer.ops:
-        print()
-        print(ops_report(tracer))
-    print()
-    traced = tracer.total_sim_ns()
-    print(
-        f"run total : {format_ns(total_ns)} simulated "
-        f"({format_ns(traced)} traced, "
-        f"{traced / total_ns * 100 if total_ns else 100:.1f}% covered)"
-    )
-
-    if args.trace_out is not None:
-        size = write_chrome_trace(tracer, args.trace_out)
-        print(f"wrote Chrome trace {args.trace_out} ({format_bytes(size)})")
-    snapshot = snapshot_mod.build_snapshot(tracer, workload=workload)
-    if args.snapshot_out is not None:
-        snapshot_mod.save(snapshot, args.snapshot_out)
-        print(f"wrote perf snapshot {args.snapshot_out}")
-    if args.baseline is not None:
-        baseline = snapshot_mod.load(args.baseline)
-        diff = snapshot_mod.diff_snapshots(
-            baseline, snapshot, rel_tol=args.tolerance
-        )
-        print()
-        print(snapshot_mod.format_diff(diff, rel_tol=args.tolerance))
-        if not diff.ok:
-            return 1
-    return 0
-
-
-def _cmd_metrics(args) -> int:
-    from repro.core.engine import NTadocEngine
-
-    names = [name.strip() for name in args.task.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _TASK_NAMES]
-    if not names or unknown:
-        bad = ", ".join(unknown) or "(empty)"
-        print(
-            f"unknown task(s): {bad}; choose from {', '.join(_TASK_NAMES)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    dataset = args.dataset
-    if dataset in PROFILES and not Path(dataset).exists():
-        corpus = compress_files(dataset_files(dataset, args.scale))
-    else:
-        corpus = serialization.load(Path(dataset))
-    config = EngineConfig(traversal=args.traversal, ngram_n=args.ngram)
-    engine = NTadocEngine(corpus, config)
-    tasks = [task_by_name(name) for name in names]
-    # The resilient entry points leave last_state populated, which is
-    # what --image-out needs; with no faults armed they charge the same
-    # simulated time as the plain ones.
-    if len(tasks) == 1:
-        total_ns = engine.run_resilient(tasks[0]).total_ns
-    else:
-        total_ns = engine.run_many_resilient(tasks).total_ns
-
-    text = (
-        engine.metrics.to_json()
-        if args.format == "json"
-        else engine.metrics.expose()
-    )
-    if args.out is not None:
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out} ({format_bytes(len(text))})")
-    else:
-        print(text, end="")
-    print(
-        f"# run total: {','.join(names)} in {format_ns(total_ns)} simulated, "
-        f"{len(engine.journal.events)} journal event(s)"
-    )
-    if args.events:
-        print(f"# last {args.events} journal event(s):")
-        import json as json_mod
-
-        for event in engine.journal.events[-args.events :]:
-            detail = json_mod.dumps(
-                event.detail, sort_keys=True, separators=(",", ":"), default=str
-            )
-            print(
-                f"#   {event.sim_ns:>12.1f}ns {event.severity:<7s} "
-                f"{event.type} {detail}"
-            )
-    if args.image_out is not None:
-        from repro.nvm.flightrec import device_image
-
-        memory = engine.last_state.pool_mem
-        args.image_out.write_bytes(device_image(memory))
-        print(
-            f"# wrote pool image {args.image_out} "
-            f"({format_bytes(memory.size)})"
-        )
-    return 0
-
-
 def _cmd_blackbox(args) -> int:
     import json as json_mod
 
@@ -968,9 +913,6 @@ _COMMANDS = {
     "reproduce": _cmd_reproduce,
     "crashsweep": _cmd_crashsweep,
     "faultsweep": _cmd_faultsweep,
-    "wear": _cmd_wear,
-    "profile": _cmd_profile,
-    "metrics": _cmd_metrics,
     "blackbox": _cmd_blackbox,
 }
 

@@ -22,7 +22,6 @@ from repro.core.pruning import PrunedRule, prune_corpus
 from repro.core.random_access import RandomAccessor
 from repro.core.recovery import RecoveryReport, recover_pool
 from repro.core.stats import GrammarStats, grammar_stats, rule_length_histogram
-from repro.core.streaming import MergedRun, StreamingCorpus
 from repro.core.summation import bottom_up_summate, summate_all
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "PrunedRule",
     "RULE_BASE",
     "RandomAccessor",
-    "MergedRun",
     "RecoveryReport",
     "RunResult",
-    "StreamingCorpus",
     "SEP_BASE",
     "bottom_up_summate",
     "grammar_stats",

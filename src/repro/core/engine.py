@@ -64,6 +64,10 @@ _DICT_WORD_OVERHEAD = 60
 #: (sum of the Algorithm-2 bounds); see NTadocEngine._resolve_strategy.
 BOTTOMUP_RATIO = 40
 
+#: Media recoveries (scrub + quarantine + rebuild) on any one task's path
+#: before it fails typed; see NTadocEngine._degrade.
+MAX_RECOVERIES = 2
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -146,6 +150,11 @@ class EngineConfig:
             raise ValueError(f"unknown traversal {self.traversal!r}")
         if not isinstance(self.kernels, bool):
             raise ValueError(f"kernels must be a bool, not {self.kernels!r}")
+        for role, name in (("device", self.device), ("disk", self.disk)):
+            try:
+                DeviceProfile.by_name(name)
+            except KeyError:
+                raise ValueError(f"unknown {role} {name!r}") from None
 
     @property
     def use_scattered_layout(self) -> bool:
@@ -204,12 +213,13 @@ class RunResult:
 class TaskFailure:
     """Structured report of one task the engine could not complete.
 
-    Produced by :meth:`NTadocEngine.run_resilient` (and the per-task
-    degraded mode of :meth:`NTadocEngine.run_many_resilient`) when media
-    damage survives every recovery attempt.  It is never raised: graceful
-    degradation returns it in place of a :class:`RunResult` so sibling
-    tasks keep running and the harness gets a typed, inspectable outcome
-    instead of a silent wrong answer.
+    Returned by :meth:`NTadocEngine.run` (and listed in
+    ``PlanResult.failures`` by :meth:`NTadocEngine.run_many`) when media
+    damage survives every recovery attempt, or strikes an engine without
+    a guard.  It is never raised: graceful degradation returns it in
+    place of a :class:`RunResult` so sibling tasks keep running and the
+    caller gets a typed, inspectable outcome instead of a silent wrong
+    answer.
     """
 
     task: str
@@ -364,8 +374,9 @@ class NTadocEngine:
         self._heads = analysis.heads
         self._tails = analysis.tails
         self._headtail_k = k
-        #: Machinery of the most recent *resilient* run (faultsweep pokes
-        #: at the pool/guard after the run to verify scrub idempotence).
+        #: Machinery of the most recent run or plan (faultsweep pokes at
+        #: the pool/guard after the run to verify scrub idempotence; the
+        #: CLI reads wear counters and pool images off it).
         self.last_state: _RunState | None = None
         #: Always-on metrics registry and event journal (None when the
         #: config disables them); both live as long as the engine and
@@ -698,12 +709,14 @@ class NTadocEngine:
         *,
         fault_plan: "FaultPlan | None" = None,
         resume_from: "RecoveryReport | None" = None,
-    ) -> RunResult:
+    ) -> "RunResult | TaskFailure":
         """Execute ``task`` through both phases; return the measurement.
 
         A solo run is a plan of one: the same code path as :meth:`run_many`,
         reported with the plan's own phase times and no shared/exclusive
-        split.
+        split.  Media damage degrades gracefully (:meth:`_degrade`): the
+        result is bit-identical to a fault-free run's, or a typed
+        :class:`TaskFailure`.
 
         Args:
             task: The analytics task to run.
@@ -715,7 +728,7 @@ class NTadocEngine:
                 the analytics output is bit-identical to an uncrashed
                 run's.
         """
-        return _solo(self._start([task], fault_plan, resume_from))
+        return _one(self._start([task], fault_plan, resume_from))
 
     def run_many(
         self,
@@ -732,7 +745,9 @@ class NTadocEngine:
         a need for them.  Per-task results are bit-identical to solo
         :meth:`run` calls; simulated time is charged once and attributed
         per task (an even share of the shared substrate plus each task's
-        exclusive hook time).
+        exclusive hook time).  Under media damage the plan degrades to
+        plans of one (:meth:`_degrade`); tasks that still cannot finish are
+        listed in ``PlanResult.failures``.
 
         Args:
             tasks: The analytics tasks to fuse, in submission order.
@@ -767,21 +782,25 @@ class NTadocEngine:
     def _start(self, tasks, fault_plan, resume_from):
         """One plan on new machinery: a cold pool, or a recovered one.
 
-        Resuming skips completed phases: with initialization
-        checkpointed, only the per-run CPU/stream charges are re-paid and
-        the traversal phase re-executes against the surviving pruned DAG.
-        Traversal is overwrite-idempotent (weights reset, structures
-        rebuilt at the restored allocator top), so the analytics output
-        is bit-identical to an uncrashed run's.  When not even
-        initialization survived, the plan starts over on a cold pool.
+        The machinery is kept as :attr:`last_state` (the previous one is
+        dropped first, so the engine never holds two pools).  A cold pool
+        runs through :meth:`_degrade`.  Resuming skips completed phases:
+        with initialization checkpointed, only the per-run CPU/stream
+        charges are re-paid and the traversal phase re-executes against
+        the surviving pruned DAG.  Traversal is overwrite-idempotent
+        (weights reset, structures rebuilt at the restored allocator
+        top), so the analytics output is bit-identical to an uncrashed
+        run's.  When not even initialization survived, the plan starts
+        over on a cold pool.
         """
+        self.last_state = None
         if resume_from is not None and not (
             resume_from.needs_full_rebuild or resume_from.pruned is None
         ):
-            return self._execute(
-                tasks, self._new_state(report=resume_from), resumed=True
-            )
-        return self._execute(tasks, self._new_state(fault_plan, len(tasks)))
+            self.last_state = self._new_state(report=resume_from)
+            return self._execute(tasks, self.last_state, resumed=True)
+        self.last_state = self._new_state(fault_plan, len(tasks))
+        return self._degrade(tasks, self.last_state, MAX_RECOVERIES)
 
     def _execute(
         self, tasks: "list[AnalyticsTask]", state: _RunState, *, resumed: bool = False
@@ -930,91 +949,78 @@ class NTadocEngine:
         )
 
     # ------------------------------------------------------------------
-    # Resilient execution (media-fault graceful degradation)
+    # Graceful degradation under media faults
     # ------------------------------------------------------------------
 
-    def run_resilient(
-        self,
-        task: "AnalyticsTask",
-        *,
-        fault_plan: "FaultPlan | None" = None,
-        max_recoveries: int = 2,
-    ) -> "RunResult | TaskFailure":
-        """Like :meth:`run`, but media damage degrades gracefully.
-
-        A :class:`~repro.errors.MediaError` surfacing anywhere in the run
-        triggers recovery instead of propagating: scrub the pool (heal
-        transients, remap stuck lines, quarantine unrecoverable chunks),
-        rename the damaged build's regions out of the way (never freed --
-        the exact-size free list would recycle damaged extents into
-        fresh structures), and rebuild the pruned DAG from the source
-        corpus.  After ``max_recoveries`` failed rebuilds the task is
-        failed with a structured :class:`TaskFailure` -- never a silent
-        wrong answer.
-
-        Recovery needs ``EngineConfig(media_protect=True)``; without a
-        guard the first media error fails the task (kind="unprotected").
-        When recovery succeeds the analytics output is bit-identical to
-        a fault-free run's; only simulated time differs (the recovery
-        work is real, charged time).
-        """
-        state = self._new_state(fault_plan)
-        self.last_state = state
-        return self._attempt_resilient(task, state, max_recoveries)
-
-    def run_many_resilient(
+    def _degrade(
         self,
         tasks: "list[AnalyticsTask]",
-        *,
-        fault_plan: "FaultPlan | None" = None,
-        max_recoveries: int = 2,
+        state: _RunState,
+        budget: int,
+        quarantined: "list[str] | tuple[str, ...]" = (),
+        scrub: Any = None,
     ):
-        """Like :meth:`run_many`, with per-task graceful degradation.
+        """Run a plan; on media damage, scrub once and re-run each task
+        as a plan of one with ``budget - 1``.
 
-        The fused plan is attempted once; if a media error surfaces, the
-        pool is scrubbed, the damaged build quarantined, and every task
-        re-run solo against the recovered pool so sibling tasks complete
-        even when one task's data is gone for good.  Tasks that still
-        cannot finish appear as :class:`TaskFailure` entries in
-        ``PlanResult.failures``; ``results`` holds the finishers.
+        A :class:`~repro.errors.MediaError` anywhere in the plan triggers
+        recovery instead of propagating: scrub the pool (heal transients,
+        remap stuck lines, quarantine unrecoverable chunks), rename the
+        damaged build's regions out of the way (never freed -- the
+        exact-size free list would recycle damaged extents into fresh
+        structures), and rebuild from the source corpus.  Each task then
+        completes or fails alone, so siblings finish around damage that
+        is gone for good.  A task whose budget is spent, whose scrub
+        itself fails, or whose rebuild is crowded out by quarantined
+        extents becomes a :class:`TaskFailure` -- never a silent wrong
+        answer.  Without a guard (``media_protect=False``) there is
+        nothing to recover with: every task fails as ``"unprotected"``.
+
+        ``quarantined`` and ``scrub`` carry the regions renamed and the
+        last :class:`~repro.nvm.scrub.ScrubReport` down the recursion
+        into the failure reports.  Returns a
+        :class:`~repro.core.plan.PlanResult`.
         """
-        tasks = list(tasks)
-        if not tasks:
-            raise ValueError("run_many_resilient needs at least one task")
-        state = self._new_state(fault_plan, len(tasks))
-        self.last_state = state
+        quarantined = list(quarantined)
+        kind = None
         try:
             return self._execute(tasks, state)
         except MediaError as exc:
+            error = exc
             if state.guard is None:
-                failures = [
-                    self._fail_task(task, state, exc, kind="unprotected")
-                    for task in tasks
-                ]
-                return self._degraded_plan(state, [], failures)
-            try:
-                self._recover_media(state, [])
-            except MediaError as scrub_exc:
-                # Device failing during its own recovery: every task of
-                # the plan degrades to a typed failure.
-                failures = [
-                    self._fail_task(task, state, scrub_exc) for task in tasks
-                ]
-                return self._degraded_plan(state, [], failures)
-        # Degraded mode: siblings complete solo against the scrubbed
-        # pool; a task whose damage persists fails alone.
+                kind = "unprotected"
+            elif budget > 0:
+                try:
+                    scrub = self._recover_media(state, quarantined)
+                    error = None
+                except MediaError as scrub_exc:
+                    # The device is failing faster than the scrub can walk
+                    # it (e.g. wear death on the recovery's own
+                    # bookkeeping lines).  Still a typed outcome.
+                    error = scrub_exc
+        except OutOfMemoryError as exc:
+            # Only rebuilds crowded out by quarantined extents are a
+            # resilience outcome; a fresh-pool OOM is a sizing bug.
+            if not any(
+                name.startswith("__quarantined")
+                for name in state.pool.region_names()
+            ):
+                raise
+            error, kind = exc, "oom"
         results: list[RunResult] = []
         failures: list[TaskFailure] = []
         for task in tasks:
-            out = self._attempt_resilient(task, state, max_recoveries)
-            if isinstance(out, TaskFailure):
-                failures.append(out)
-            else:
-                results.append(out)
+            if error is not None:
+                failures.append(
+                    self._fail_task(task, state, error, kind, scrub, quarantined)
+                )
+                continue
+            out = _one(self._degrade([task], state, budget - 1, quarantined, scrub))
+            (failures if out.failed else results).append(out)
         return self._degraded_plan(state, results, failures)
 
     def scrub_and_quarantine(self):
-        """Scrub the last resilient run's pool and quarantine its build.
+        """Scrub the last run's pool and quarantine its build.
 
         The faultsweep harness's post-run leg: a full scrub pass catches
         *latent* damage the run never read, and the quarantine-rename
@@ -1023,7 +1029,7 @@ class NTadocEngine:
         Returns the :class:`~repro.nvm.scrub.ScrubReport`.
 
         Raises:
-            ReproError: without a preceding media-protected resilient run.
+            ReproError: without a preceding media-protected run.
             MediaError: when the device fails faster than the scrub can
                 walk it (damage landing on the scrub's own bookkeeping
                 reads) -- still a typed, detected outcome.
@@ -1031,15 +1037,13 @@ class NTadocEngine:
         state = self.last_state
         if state is None or state.guard is None:
             raise ReproError(
-                "no media-protected resilient run to scrub; call "
-                "run_resilient with EngineConfig(media_protect=True) first"
+                "no media-protected run to scrub; run a task with "
+                "EngineConfig(media_protect=True) first"
             )
         return self._recover_media(state, [])
 
-    def rerun_resilient(
-        self, task: "AnalyticsTask", *, max_recoveries: int = 2
-    ) -> "RunResult | TaskFailure":
-        """Re-run ``task`` on the last resilient run's machinery.
+    def rerun_resilient(self, task: "AnalyticsTask") -> "RunResult | TaskFailure":
+        """Re-run ``task`` on the last run's machinery.
 
         The faultsweep harness's re-analyze leg: after
         :meth:`scrub_and_quarantine` the pool holds only healed (or
@@ -1047,64 +1051,11 @@ class NTadocEngine:
         to a fault-free run's analytics output.
 
         Raises:
-            ReproError: without a preceding resilient run.
+            ReproError: without a preceding run.
         """
         if self.last_state is None:
-            raise ReproError("no resilient run to re-analyze")
-        return self._attempt_resilient(task, self.last_state, max_recoveries)
-
-    def _attempt_resilient(
-        self, task: "AnalyticsTask", state: _RunState, max_recoveries: int
-    ) -> "RunResult | TaskFailure":
-        quarantined: list[str] = []
-        last_scrub = None
-        for attempt in range(max_recoveries + 1):
-            try:
-                return _solo(self._execute([task], state))
-            except MediaError as exc:
-                if state.guard is None:
-                    return self._fail_task(
-                        task,
-                        state,
-                        exc,
-                        kind="unprotected",
-                        scrub=last_scrub,
-                        quarantined=quarantined,
-                    )
-                if attempt >= max_recoveries:
-                    return self._fail_task(
-                        task, state, exc, scrub=last_scrub, quarantined=quarantined
-                    )
-                try:
-                    last_scrub = self._recover_media(state, quarantined)
-                except MediaError as scrub_exc:
-                    # The device is failing faster than the scrub can
-                    # walk it (e.g. wear death on the recovery's own
-                    # bookkeeping lines).  Still a typed outcome.
-                    return self._fail_task(
-                        task,
-                        state,
-                        scrub_exc,
-                        scrub=last_scrub,
-                        quarantined=quarantined,
-                    )
-            except OutOfMemoryError as exc:
-                # Only rebuilds crowded out by quarantined extents are a
-                # resilience outcome; a fresh-pool OOM is a sizing bug.
-                if not any(
-                    name.startswith("__quarantined")
-                    for name in state.pool.region_names()
-                ):
-                    raise
-                return self._fail_task(
-                    task,
-                    state,
-                    exc,
-                    kind="oom",
-                    scrub=last_scrub,
-                    quarantined=quarantined,
-                )
-        raise AssertionError("unreachable")
+            raise ReproError("no run to re-analyze")
+        return _one(self._degrade([task], self.last_state, MAX_RECOVERIES))
 
     def _recover_media(self, state: _RunState, quarantined: list[str]):
         """Scrub the pool and quarantine the damaged build (force rebuild).
@@ -1156,10 +1107,9 @@ class NTadocEngine:
         task: "AnalyticsTask",
         state: _RunState,
         exc: Exception,
-        *,
-        kind: str | None = None,
-        scrub: Any = None,
-        quarantined: "list[str] | None" = None,
+        kind: str | None,
+        scrub: Any,
+        quarantined: list[str],
     ) -> TaskFailure:
         return TaskFailure(
             task=task.name,
@@ -1168,7 +1118,7 @@ class NTadocEngine:
             offset=getattr(exc, "offset", None),
             line=getattr(exc, "line", None),
             scrub=scrub,
-            quarantined_regions=list(quarantined or ()),
+            quarantined_regions=list(quarantined),
             total_ns=state.clock.ns,
         )
 
@@ -1280,9 +1230,12 @@ class NTadocEngine:
             written += step
 
 
-def _solo(plan) -> RunResult:
-    """A plan of one reported as a solo run: the plan's own phase times,
-    with no shared/exclusive split."""
+def _one(plan) -> "RunResult | TaskFailure":
+    """The outcome of a plan of one: its failure, or its result reported
+    as a solo run (the plan's own phase times, no shared/exclusive
+    split)."""
+    if plan.failures:
+        return plan.failures[0]
     (run,) = plan.results
     return replace(
         run,

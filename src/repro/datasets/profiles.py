@@ -18,6 +18,7 @@ Compressed corpora are cached in-process and (optionally) on disk under
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +134,13 @@ def _scaled_spec(spec: CorpusSpec, scale: float) -> CorpusSpec:
 
 
 def dataset_files(name: str, scale: float = 1.0) -> list[tuple[str, str]]:
-    """Generate the raw ``(file_name, text)`` pairs for a profile."""
+    """Generate the raw ``(file_name, text)`` pairs for a profile.
+
+    Raises:
+        ValueError: for a scale that is not a positive, finite number.
+    """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"dataset scale must be positive and finite, not {scale!r}")
     profile = PROFILES[name]
     return generate_corpus_files(_scaled_spec(profile.spec, scale))
 

@@ -19,7 +19,7 @@ must end
   kind;
 
 **never a silent wrong answer**.  An analytics result that differs from
-the fault-free reference, an untyped exception escaping the resilient
+the fault-free reference, an untyped exception escaping the engine
 entry points, or a failure report without a damage kind is a violation
 (the sweep's exit status).
 
@@ -91,7 +91,7 @@ class FaultSweepConfig:
         infra_points: Faults aimed at the guard's own on-media state
             (seal table, remap table, directory header).
         fused_points: Faults injected under a fused
-            ``run_many_resilient`` plan; siblings must still complete.
+            ``run_many`` plan; siblings must still complete.
         reanalyze: Run the scrub + re-analyze leg after engine points.
     """
 
@@ -192,7 +192,7 @@ class _FaultSweep:
         )
 
     def check_blackbox(self, scenario: str, kind: str, index, engine) -> None:
-        """Judge the flight recorder after one resilient run.
+        """Judge the flight recorder after one media-faulted run.
 
         Unlike the crash sweep there is no power loss here, so the ring
         is read live off the pool: it must be present, every slot must
@@ -212,7 +212,7 @@ class _FaultSweep:
             self.blackbox["absent"] += 1
             self.violation(
                 scenario, kind, index,
-                "black box: flight recorder absent after a resilient run",
+                "black box: flight recorder absent after a run",
             )
             return
         damaged = sum(1 for r in decoded["records"] if r.kind != "event")
@@ -245,11 +245,11 @@ class _FaultSweep:
         )
 
     def _reference(self, engine: NTadocEngine, name: str):
-        """Fault-free resilient run: reference output, time, read trace."""
+        """Fault-free run: reference output, time, read trace."""
         trace = _ReadTrace()
         plan = FaultPlan()
         plan.on_read = trace
-        ref = engine.run_resilient(task_by_name(name), fault_plan=plan)
+        ref = engine.run(task_by_name(name), fault_plan=plan)
         if ref.failed:
             raise AssertionError(
                 f"fault-free reference run of {name} failed: {ref.error}"
@@ -331,16 +331,16 @@ class _FaultSweep:
     def _engine_point(
         self, engine, task_name, ref_json, ref_ns, kind, index, fault
     ) -> None:
-        """One fault, one resilient run, triad classification, scrub leg."""
+        """One fault, one run, triad classification, scrub leg."""
         self.point(kind)
         plan = FaultPlan(media_faults=[fault])
         task = task_by_name(task_name)
         try:
-            out = engine.run_resilient(task, fault_plan=plan)
+            out = engine.run(task, fault_plan=plan)
         except Exception as exc:  # noqa: BLE001 -- escapes are the defect
             self.violation(
                 "engine", kind, index,
-                f"untyped {type(exc).__name__} escaped run_resilient: {exc}",
+                f"untyped {type(exc).__name__} escaped run: {exc}",
             )
             return
         fired = self._fault_fired(fault, plan)
@@ -471,11 +471,11 @@ class _FaultSweep:
     ) -> None:
         index = (limit, seed)
         try:
-            out = engine.run_resilient(task_by_name(name), fault_plan=plan)
+            out = engine.run(task_by_name(name), fault_plan=plan)
         except Exception as exc:  # noqa: BLE001
             self.violation(
                 "wear", "wear_death", index,
-                f"untyped {type(exc).__name__} escaped run_resilient: {exc}",
+                f"untyped {type(exc).__name__} escaped run: {exc}",
             )
             return
         if out.failed:
@@ -543,7 +543,7 @@ class _FaultSweep:
         trace = _ReadTrace()
         counter = FaultPlan()
         counter.on_read = trace
-        ref_plan = engine.run_many_resilient(tasks, fault_plan=counter)
+        ref_plan = engine.run_many(tasks, fault_plan=counter)
         if ref_plan.failures:
             raise AssertionError(
                 "fault-free fused reference run reported failures"
@@ -574,11 +574,11 @@ class _FaultSweep:
         self.point(f"fused_{kind}")
         plan = FaultPlan(media_faults=[fault])
         try:
-            out = engine.run_many_resilient(tasks, fault_plan=plan)
+            out = engine.run_many(tasks, fault_plan=plan)
         except Exception as exc:  # noqa: BLE001
             self.violation(
                 "fused", kind, index,
-                f"untyped {type(exc).__name__} escaped run_many_resilient: "
+                f"untyped {type(exc).__name__} escaped run_many: "
                 f"{exc}",
             )
             return

@@ -1,11 +1,10 @@
 """Merge per-segment analytics results and render them canonically.
 
 Segments share one stream-wide dictionary, so per-segment results merge
-in **word-id space** (counts sum, postings union with file-index
-rebasing) exactly as :mod:`repro.core.streaming` merges chunk results.
-Tombstones are realized here: a deleted doc's contribution is filtered
-out of postings/vectors or recomputed-and-subtracted from corpus-global
-counts.
+in **word-id space**: counts sum, and postings union with file-index
+rebasing.  Tombstones are realized here: a deleted doc's contribution is
+filtered out of postings/vectors or recomputed-and-subtracted from
+corpus-global counts.
 
 The differential invariant compares against ``recompress(final live
 corpus)``, which uses a *fresh* dictionary -- its word ids and n-gram

@@ -333,7 +333,7 @@ def decode_pool(pool: "NvmPool") -> dict[str, Any] | None:
 def device_image(mem: "SimulatedMemory") -> bytes:
     """Snapshot the whole device image, uncharged.
 
-    Post-mortem export for ``ntadoc metrics --image-out`` and the crash
+    Post-mortem export for ``ntadoc run --image-out`` and the crash
     harnesses: a copy of the current buffer that can be written to disk
     or handed to :func:`decode_device_image`, without moving the clock
     or the cache of the device under test.

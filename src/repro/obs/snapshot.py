@@ -14,7 +14,7 @@ trip the gate on rounding).  Span paths present in the baseline but
 missing from the new run fail the gate too -- a silently vanished phase
 is as suspicious as a slow one.  New paths and improvements are
 reported, not failed; refresh the baseline deliberately when they are
-intentional (``ntadoc profile ... --snapshot-out <baseline>``).
+intentional (``ntadoc run ... --profile --snapshot-out <baseline>``).
 """
 
 from __future__ import annotations
@@ -243,6 +243,6 @@ def format_diff(diff: SnapshotDiff, rel_tol: float = 0.10) -> str:
     if not diff.ok:
         lines.append(
             "  refresh the baseline deliberately with "
-            "`ntadoc profile ... --snapshot-out <baseline>` if intentional"
+            "`ntadoc run ... --profile --snapshot-out <baseline>` if intentional"
         )
     return "\n".join(lines)

@@ -102,6 +102,95 @@ class TestRun:
             main(["run", "frequency_hologram", str(corpus_path)])
 
 
+class TestOneRunner:
+    """``run`` is the one runner: datasets, observation flags, bad input."""
+
+    def test_profile_letter_snapshot_workload(self, tmp_path, capsys):
+        snapshot = tmp_path / "snap.json"
+        assert main(
+            [
+                "run", "word_count,term_vector", "B", "--scale", "0.05",
+                "--traversal", "bottomup", "--profile",
+                "--snapshot-out", str(snapshot),
+            ]
+        ) == 0
+        assert "hot spans" in capsys.readouterr().out.lower()
+        import json
+
+        workload = json.loads(snapshot.read_text())["workload"]
+        assert workload == "B@0.05 bottomup word_count,term_vector"
+
+    def test_observation_combines(self, corpus_path, capsys):
+        assert main(
+            [
+                "run", "word_count", str(corpus_path),
+                "--wear", "--profile", "--metrics", "prom",
+            ]
+        ) == 0
+        captured = capsys.readouterr().out
+        assert "result rows" in captured
+        assert "wear report for word_count" in captured
+        assert "# run total:" in captured
+        assert "run total :" in captured
+
+    @pytest.mark.parametrize("flag", ["--wear", "--profile", "--metrics=json"])
+    def test_observation_needs_ntadoc_system(self, corpus_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "run", "word_count", str(corpus_path),
+                    "--system", "uncompressed_nvm", flag,
+                ]
+            )
+        assert exc.value.code == 2
+        assert "N-TADOC" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--trace-out", "t.json"], ["--events", "3"], ["--depth", "2"]],
+    )
+    def test_sub_flag_needs_its_parent(self, corpus_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "word_count", str(corpus_path), *extra])
+        assert exc.value.code == 2
+        assert "needs --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_missing_corpus_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nonexistent.ntdc")
+        args = ["run", "word_count", missing] if command == "run" else [
+            "stats", missing,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot load corpus" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_corrupt_corpus_exits_2(self, tmp_path, capsys):
+        junk = tmp_path / "junk.ntdc"
+        junk.write_bytes(b"definitely not a corpus")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "word_count", str(junk)])
+        assert exc.value.code == 2
+        assert "cannot load corpus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "word_count", "B", "--scale", "0"],
+            ["run", "word_count", "B", "--scale", "nan"],
+            ["reproduce", "table2", "--scale", "-1"],
+            ["dataset", "B", "--scale", "0", "-o", "x.ntdc"],
+        ],
+    )
+    def test_bad_scale_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 class TestCompare:
     def test_compare_table(self, corpus_path, capsys):
         assert main(
@@ -147,7 +236,7 @@ class TestReproduce:
 
 class TestWear:
     def test_single_task_report(self, corpus_path, capsys):
-        assert main(["wear", "word_count", str(corpus_path)]) == 0
+        assert main(["run", "word_count", str(corpus_path), "--wear"]) == 0
         captured = capsys.readouterr().out
         assert "wear report for word_count" in captured
         assert "line programs" in captured
@@ -157,7 +246,10 @@ class TestWear:
 
     def test_fused_plan_report(self, corpus_path, capsys):
         assert main(
-            ["wear", "word_count,inverted_index", str(corpus_path), "--top", "3"]
+            [
+                "run", "word_count,inverted_index", str(corpus_path),
+                "--wear", "--top", "3",
+            ]
         ) == 0
         captured = capsys.readouterr().out
         assert "wear report for word_count,inverted_index" in captured
@@ -165,7 +257,7 @@ class TestWear:
 
     def test_unknown_task_rejected(self, corpus_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["wear", "word_mangle", str(corpus_path)])
+            main(["run", "word_mangle", str(corpus_path), "--wear"])
         assert exc.value.code == 2
         assert "unknown task(s): word_mangle" in capsys.readouterr().err
 
@@ -190,7 +282,10 @@ class TestFaultsweep:
 class TestMetrics:
     def test_prom_exposition_and_journal_tail(self, corpus_path, capsys):
         assert main(
-            ["metrics", str(corpus_path), "word_count", "--events", "3"]
+            [
+                "run", "word_count", str(corpus_path),
+                "--metrics", "prom", "--events", "3",
+            ]
         ) == 0
         captured = capsys.readouterr().out
         assert "# TYPE ntadoc_task_ns histogram" in captured
@@ -202,8 +297,8 @@ class TestMetrics:
         out = tmp_path / "metrics.json"
         assert main(
             [
-                "metrics", str(corpus_path), "word_count,inverted_index",
-                "--format", "json", "--out", str(out),
+                "run", "word_count,inverted_index", str(corpus_path),
+                "--metrics", "json", "--metrics-out", str(out),
             ]
         ) == 0
         import json
@@ -216,7 +311,7 @@ class TestMetrics:
 
     def test_unknown_task_rejected(self, corpus_path):
         with pytest.raises(SystemExit) as exc:
-            main(["metrics", str(corpus_path), "word_mangle"])
+            main(["run", "word_mangle", str(corpus_path), "--metrics", "prom"])
         assert exc.value.code == 2
 
 
@@ -226,7 +321,7 @@ class TestBlackbox:
     ):
         image = tmp_path / "pool.img"
         assert main(
-            ["metrics", str(corpus_path), "word_count", "--image-out", str(image)]
+            ["run", "word_count", str(corpus_path), "--image-out", str(image)]
         ) == 0
         capsys.readouterr()
         assert image.exists()
@@ -238,7 +333,7 @@ class TestBlackbox:
     def test_json_report(self, tmp_path, corpus_path, capsys):
         image = tmp_path / "pool.img"
         assert main(
-            ["metrics", str(corpus_path), "word_count", "--image-out", str(image)]
+            ["run", "word_count", str(corpus_path), "--image-out", str(image)]
         ) == 0
         capsys.readouterr()
         assert main(["blackbox", str(image), "--json", "--tail", "4"]) == 0

@@ -89,6 +89,11 @@ class TestProfiles:
         with pytest.raises(KeyError):
             dataset_files("Z")
 
+    @pytest.mark.parametrize("scale", [0, -1, -1e-9, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            dataset_files("B", scale)
+
     def test_scaled_spec_preserves_template_structure(self):
         files_small = dataset_files("C", scale=0.1)
         corpus = compress_files(files_small)

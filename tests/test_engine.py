@@ -38,6 +38,11 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(traversal="sideways")
 
+    @pytest.mark.parametrize("field", ["device", "disk"])
+    def test_unknown_device_rejected_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            EngineConfig(**{field: "floppy"})
+
     def test_naive_implies_both_degradations(self):
         config = EngineConfig(naive=True)
         assert config.use_scattered_layout

@@ -4,8 +4,14 @@ scrub + re-analyze, and fused sibling completion."""
 import pytest
 
 from repro.analytics import task_by_name
-from repro.core.engine import EngineConfig, NTadocEngine, TaskFailure
-from repro.errors import ReproError
+from repro.core import engine as engine_module
+from repro.core.engine import (
+    MAX_RECOVERIES,
+    EngineConfig,
+    NTadocEngine,
+    TaskFailure,
+)
+from repro.errors import MediaError, ReproError
 from repro.harness.faultsweep import _ReadTrace
 from repro.nvm.faults import FaultPlan, MediaFault
 from repro.obs.tracer import Tracer
@@ -32,11 +38,11 @@ def protected_engine(corpus, **kwargs):
 
 
 def reference(engine, name):
-    """Fault-free resilient run plus its traced clean-read points."""
+    """Fault-free run plus its traced clean-read points."""
     trace = _ReadTrace()
     plan = FaultPlan()
     plan.on_read = trace
-    ref = engine.run_resilient(task_by_name(name), fault_plan=plan)
+    ref = engine.run(task_by_name(name), fault_plan=plan)
     assert not ref.failed
     return ref, trace
 
@@ -51,7 +57,7 @@ class TestRunResilient:
         engine = protected_engine(corpus)
         ref, trace = reference(engine, "word_count")
         plan = FaultPlan(media_faults=[fault_at(trace, index=2)])
-        out = engine.run_resilient(task_by_name("word_count"), fault_plan=plan)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         assert not out.failed
         assert out.result == ref.result
         # Recovery is real, charged work: the clock must have moved.
@@ -61,35 +67,34 @@ class TestRunResilient:
         engine = protected_engine(corpus)
         _, trace = reference(engine, "word_count")
         plan = FaultPlan(media_faults=[fault_at(trace, index=2)])
-        out = engine.run_resilient(task_by_name("word_count"), fault_plan=plan)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         assert not out.failed
         names = engine.last_state.pool.region_names()
         assert any(n.startswith("__quarantined") for n in names)
 
     def test_unprotected_fault_fails_typed(self, corpus):
         engine = NTadocEngine(corpus, EngineConfig(media_protect=False))
-        out = engine.run_resilient(task_by_name("word_count"))
+        out = engine.run(task_by_name("word_count"))
         assert not out.failed  # no faults, no guard needed
         # Now arm a fault with no guard: typed failure, no silent answer.
         protected = protected_engine(corpus)
         _, trace = reference(protected, "word_count")
         plan = FaultPlan(media_faults=[fault_at(trace, index=2)])
-        out = engine.run_resilient(task_by_name("word_count"), fault_plan=plan)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         if out.failed:  # fault landed on consumed bytes of this layout
             assert out.kind == "unprotected"
             assert isinstance(out, TaskFailure)
 
-    def test_exhausted_recoveries_fail_typed(self, corpus):
+    def test_exhausted_recoveries_fail_typed(self, corpus, monkeypatch):
         engine = protected_engine(corpus)
         _, trace = reference(engine, "word_count")
-        # Stuck damage on every attempt's read path, zero recoveries
-        # allowed: the first MediaError must surface as a TaskFailure.
+        # Stuck damage on the read path, zero recoveries allowed: the
+        # first MediaError must surface as a TaskFailure.
+        monkeypatch.setattr(engine_module, "MAX_RECOVERIES", 0)
         plan = FaultPlan(
             media_faults=[fault_at(trace, index=2, kind="stuck_line")]
         )
-        out = engine.run_resilient(
-            task_by_name("word_count"), fault_plan=plan, max_recoveries=0
-        )
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         assert out.failed
         assert out.kind in ("checksum", "stuck", "lost")
         assert out.error
@@ -108,7 +113,7 @@ class TestScrubAndReanalyze:
         engine = protected_engine(corpus)
         ref, trace = reference(engine, "word_count")
         plan = FaultPlan(media_faults=[fault_at(trace, index=2)])
-        out = engine.run_resilient(task_by_name("word_count"), fault_plan=plan)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         assert not out.failed
         first = engine.scrub_and_quarantine()
         second = engine.scrub_and_quarantine()
@@ -130,7 +135,7 @@ class TestScrubAndReanalyze:
         engine = protected_engine(corpus, tracer=tracer)
         _, trace = reference(engine, "word_count")
         plan = FaultPlan(media_faults=[fault_at(trace, index=2)])
-        out = engine.run_resilient(task_by_name("word_count"), fault_plan=plan)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
         assert not out.failed
         names = [span.name for span in tracer.spans()]
         assert "recover:media" in names
@@ -147,7 +152,7 @@ class TestRunManyResilient:
     def test_fault_free_plan_matches_run_many(self, corpus):
         engine = protected_engine(corpus)
         tasks = [task_by_name(n) for n in self.TASKS]
-        plan = engine.run_many_resilient(tasks)
+        plan = engine.run_many(tasks)
         assert not plan.failures
         normal = engine.run_many([task_by_name(n) for n in self.TASKS])
         for a, b in zip(plan.results, normal.results):
@@ -162,10 +167,10 @@ class TestRunManyResilient:
         trace = _ReadTrace()
         counter = FaultPlan()
         counter.on_read = trace
-        ref = engine.run_many_resilient(tasks, fault_plan=counter)
+        ref = engine.run_many(tasks, fault_plan=counter)
         ref_results = {r.task: r.result for r in ref.results}
         fplan = FaultPlan(media_faults=[fault_at(trace, index=pick(trace.reads))])
-        out = engine.run_many_resilient(
+        out = engine.run_many(
             [task_by_name(n) for n in self.TASKS], fault_plan=fplan
         )
         assert not out.stats.fused  # the fault hit: degraded mode ran
@@ -188,4 +193,95 @@ class TestRunManyResilient:
     def test_empty_task_list_rejected(self, corpus):
         engine = protected_engine(corpus)
         with pytest.raises(ValueError):
-            engine.run_many_resilient([])
+            engine.run_many([])
+
+
+def persistent_damage(corpus, names, tracer=None):
+    """A fault plan whose damage outlives every rebuild of ``names``.
+
+    A stuck line on a consumed read fails the first build; a probe run
+    shows where recovery puts its transaction log, and a wide stuck
+    range just past it catches every rebuild the engine lays out there.
+    Returns ``(engine, plan)``.
+    """
+    probe = protected_engine(corpus)
+    trace = _ReadTrace()
+    counter = FaultPlan()
+    counter.on_read = trace
+    probe.run_many([task_by_name(n) for n in names], fault_plan=counter)
+
+    def first():
+        return fault_at(trace, index=2, kind="stuck_line")
+
+    probe.run_many(
+        [task_by_name(n) for n in names],
+        fault_plan=FaultPlan(media_faults=[first()]),
+    )
+    offset, size = probe.last_state.pool.get_region("__txlog__")
+    wide = MediaFault("stuck_line", offset + size, b"\xff" * (1 << 18))
+    engine = protected_engine(corpus, tracer=tracer)
+    return engine, FaultPlan(media_faults=[first(), wide])
+
+
+class TestDegradationContract:
+    """One recovery budget on every task's path, solo or fused."""
+
+    TASKS = ("word_count", "inverted_index", "term_vector")
+
+    def test_unprotected_run_returns_typed_failure(self, corpus):
+        # A device-reported uncorrectable read, with no guard attached to
+        # recover from it: run() returns the typed failure, never raises.
+        def uncorrectable(mem, offset, size):
+            raise MediaError("uncorrectable read", offset=offset, kind="checksum")
+
+        engine = NTadocEngine(corpus, EngineConfig(media_protect=False))
+        plan = FaultPlan()
+        plan.on_read = uncorrectable
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
+        assert isinstance(out, TaskFailure)
+        assert out.kind == "unprotected"
+        plan = FaultPlan()
+        plan.on_read = uncorrectable
+        fused = engine.run_many(
+            [task_by_name(n) for n in self.TASKS], fault_plan=plan
+        )
+        assert not fused.results
+        assert [f.kind for f in fused.failures] == ["unprotected"] * 3
+
+    def test_persistent_stuck_line_spends_the_whole_budget(self, corpus):
+        tracer = Tracer()
+        engine, plan = persistent_damage(corpus, ["word_count"], tracer)
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
+        assert isinstance(out, TaskFailure)
+        assert out.kind in ("checksum", "stuck", "lost")
+        assert len(tracer.find("recover:media")) == MAX_RECOVERIES
+
+    def test_fused_trio_shares_the_budget(self, corpus):
+        # The fused plan's recovery counts against every sibling's path:
+        # each path holds it plus MAX_RECOVERIES - 1 of its own.
+        tracer = Tracer()
+        tasks = [task_by_name(n) for n in self.TASKS]
+        engine, plan = persistent_damage(corpus, self.TASKS, tracer)
+        out = engine.run_many(tasks, fault_plan=plan)
+        assert not out.results
+        assert len(out.failures) == len(tasks)
+        assert all(f.kind for f in out.failures)
+        per_path = 1 + len(tasks) * (MAX_RECOVERIES - 1)
+        assert len(tracer.find("recover:media")) == per_path
+
+    def test_fused_recoveries_bounded_at_every_point(self, corpus):
+        tasks = [task_by_name(n) for n in self.TASKS]
+        engine = protected_engine(corpus)
+        trace = _ReadTrace()
+        counter = FaultPlan()
+        counter.on_read = trace
+        engine.run_many(tasks, fault_plan=counter)
+        bound = 1 + len(tasks) * (MAX_RECOVERIES - 1)
+        step = max(len(trace.reads) // 12, 1)
+        for index in range(0, len(trace.reads), step):
+            tracer = Tracer()
+            traced = protected_engine(corpus, tracer=tracer)
+            fault = fault_at(trace, index=index, kind="stuck_line")
+            out = traced.run_many(tasks, fault_plan=FaultPlan(media_faults=[fault]))
+            assert len(out.results) + len(out.failures) == len(tasks)
+            assert len(tracer.find("recover:media")) <= bound

@@ -230,7 +230,7 @@ class TestEngineDeterminism:
         images, totals, results = [], [], []
         for metrics in (True, False):
             engine = NTadocEngine(corpus, EngineConfig(metrics=metrics))
-            run = engine.run_resilient(task_by_name("word_count"))
+            run = engine.run(task_by_name("word_count"))
             state = engine.last_state
             offset, size = state.pool.get_region(FLIGHTREC_REGION)
             image = bytearray(device_image(state.pool_mem))

@@ -1,13 +1,18 @@
-"""Tests for streaming (chunked) ingestion and merged analytics."""
+"""Streaming ingestion: batches sealed as segments, analytics merged.
+
+Each batch of files is appended to a :class:`SegmentedEngine` and sealed
+into its own segment against the stream-wide dictionary; queries merge
+the per-segment results exactly.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analytics import task_by_name
-from repro.core.engine import NTadocEngine
-from repro.core.streaming import StreamingCorpus
+from repro.core.engine import EngineConfig
 from repro.errors import ReproError
+from repro.ingest import SegmentedEngine, canonical_json, reference_rendered
+from repro.ingest.merge import MERGEABLE_TASKS
 from repro.sequitur.compressor import compress_files
 
 BATCH_1 = [
@@ -24,23 +29,29 @@ BATCH_3 = [
 
 ALL_FILES = BATCH_1 + BATCH_2 + BATCH_3
 
-MERGEABLE_TASKS = (
-    "word_count",
-    "sort",
-    "term_vector",
-    "inverted_index",
-    "sequence_count",
-    "ranked_inverted_index",
-)
+
+def ingest(engine: SegmentedEngine, batch) -> None:
+    """Append one batch and seal it into its own segment."""
+    for name, text in batch:
+        engine.append(name, text)
+    engine.seal()
+
+
+def batched(*batches) -> SegmentedEngine:
+    # Seals only where a batch ends: no threshold-triggered seal.
+    engine = SegmentedEngine(EngineConfig(), seal_threshold_tokens=1 << 30)
+    for batch in batches:
+        ingest(engine, batch)
+    return engine
+
+
+def query(engine: SegmentedEngine, task: str):
+    return engine.run_tasks([task]).rendered[task]
 
 
 @pytest.fixture
 def stream():
-    s = StreamingCorpus()
-    s.ingest(BATCH_1)
-    s.ingest(BATCH_2)
-    s.ingest(BATCH_3)
-    return s
+    return batched(BATCH_1, BATCH_2, BATCH_3)
 
 
 @pytest.fixture(scope="module")
@@ -48,75 +59,68 @@ def monolithic():
     return compress_files(ALL_FILES)
 
 
+def word_totals(files) -> dict[str, int]:
+    totals: dict[str, int] = {}
+    for _, text in files:
+        for token in text.split():
+            totals[token] = totals.get(token, 0) + 1
+    return totals
+
+
 class TestIngestion:
     def test_chunk_count(self, stream):
-        assert len(stream.chunks) == 3
-        assert stream.n_files == 5
+        assert len(stream.corpus.segments) == 3
+        assert stream.corpus.n_live == 5
 
     def test_file_names_in_order(self, stream):
-        assert stream.file_names == [name for name, _ in ALL_FILES]
+        assert stream.corpus.live_doc_names() == [name for name, _ in ALL_FILES]
 
     def test_shared_dictionary_keeps_ids_stable(self, stream, monolithic):
         # Same file order -> same first-seen order -> identical ids.
-        assert stream.vocab == monolithic.vocab
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingCorpus().ingest([])
-
-    def test_run_before_ingest_rejected(self):
-        with pytest.raises(ReproError):
-            StreamingCorpus().run(task_by_name("word_count"))
+        assert stream.corpus.dictionary.words() == monolithic.vocab
 
     def test_chunking_costs_compression(self, stream, monolithic):
-        """Cross-chunk redundancy is not captured: the chunked grammar is
-        at least as large as the monolithic one."""
-        assert stream.grammar_length() >= monolithic.grammar_length()
+        """Cross-segment redundancy is not captured: the segmented grammar
+        is at least as large as the monolithic one."""
+        segmented = sum(
+            segment.corpus.grammar_length() for segment in stream.corpus.segments
+        )
+        assert segmented >= monolithic.grammar_length()
 
 
 class TestMergedResults:
     @pytest.mark.parametrize("task_name", MERGEABLE_TASKS)
     def test_merged_equals_monolithic(self, stream, monolithic, task_name):
         """Streaming ingestion must not change any analytics answer."""
-        merged = stream.run(task_by_name(task_name))
-        reference = NTadocEngine(monolithic).run(task_by_name(task_name))
-        assert merged.result == reference.result
+        assert canonical_json(query(stream, task_name)) == canonical_json(
+            reference_rendered(task_name, monolithic)
+        )
 
     def test_timings_accumulate(self, stream):
-        merged = stream.run(task_by_name("word_count"))
-        assert len(merged.chunk_ns) == 3
-        assert merged.total_ns == pytest.approx(sum(merged.chunk_ns))
+        result = stream.run_tasks(["word_count"])
+        assert len(result.segment_ns) == 3
+        # The query charges every segment's plan plus the merge.
+        assert result.query_ns >= sum(result.segment_ns.values())
 
     def test_ngram_names_cover_result(self, stream):
-        merged = stream.run(task_by_name("sequence_count"))
-        assert set(merged.result) <= set(merged.ngram_names)
+        vocab = set(stream.corpus.dictionary.words())
+        for gram in query(stream, "sequence_count"):
+            words = gram.split(" ")
+            assert len(words) == 2
+            assert set(words) <= vocab
 
     def test_incremental_word_counts_grow(self):
-        s = StreamingCorpus()
-        s.ingest(BATCH_1)
-        first = s.run(task_by_name("word_count")).result
-        s.ingest(BATCH_3)
-        second = s.run(task_by_name("word_count")).result
+        engine = batched(BATCH_1)
+        first = query(engine, "word_count")
+        ingest(engine, BATCH_3)
+        second = query(engine, "word_count")
         for word, count in first.items():
             assert second.get(word, 0) >= count
 
-    def test_word_search_merge(self, stream, monolithic):
-        from repro.analytics.search import WordSearch
-
-        error_id = monolithic.vocab.index("error")
-        merged = stream.run(WordSearch([error_id]))
-        # "error" appears in mon, tue (chunk 1) and thu (chunk 3).
-        assert merged.result[error_id] == [0, 1, 3]
-
-    def test_unmergeable_task_rejected(self, stream):
-        class Opaque:
-            name = "opaque"
-
-            def fuse(self, ctx):
-                return object()
-
-        with pytest.raises(ReproError):
-            stream._merge("opaque", [])
+    def test_word_search_merge(self, stream):
+        # Which files hold "error": postings merge across segments.
+        index = query(stream, "inverted_index")
+        assert index["error"] == ["mon.log", "tue.log", "thu.log"]
 
 
 @settings(max_examples=12, deadline=None)
@@ -127,119 +131,62 @@ class TestMergedResults:
 def test_property_any_batch_split_equals_monolithic(split_points, task_index):
     """However the stream is batched, merged analytics equal the
     monolithic answer."""
-    boundaries = sorted(set(split_points))
     batches = []
     start = 0
-    for boundary in boundaries:
-        if boundary > start:
-            batches.append(ALL_FILES[start:boundary])
-            start = boundary
-    if start < len(ALL_FILES):
-        batches.append(ALL_FILES[start:])
-
-    stream = StreamingCorpus()
-    for batch in batches:
-        stream.ingest(batch)
+    for boundary in sorted(set(split_points)):
+        batches.append(ALL_FILES[start:boundary])
+        start = boundary
+    batches.append(ALL_FILES[start:])
+    engine = batched(*(batch for batch in batches if batch))
     task_name = MERGEABLE_TASKS[task_index]
-    merged = stream.run(task_by_name(task_name))
-    reference = NTadocEngine(compress_files(ALL_FILES)).run(
-        task_by_name(task_name)
+    assert canonical_json(query(engine, task_name)) == canonical_json(
+        reference_rendered(task_name, compress_files(ALL_FILES))
     )
-    assert merged.result == reference.result
-
-
-
 
 
 class TestDeletion:
     """Logical deletion (tombstones) filters merged analytics exactly."""
 
-    def build(self):
-        s = StreamingCorpus()
-        s.ingest(BATCH_1)
-        s.ingest(BATCH_2)
-        s.ingest(BATCH_3)
-        return s
+    def test_word_count_excludes_deleted_content(self, stream):
+        stream.delete("mon.log")
+        expected = word_totals(f for f in ALL_FILES if f[0] != "mon.log")
+        assert query(stream, "word_count") == expected
 
-    def reference_without(self, dropped: set[str], task_name: str):
-        kept = [(n, t) for n, t in ALL_FILES if n not in dropped]
-        # Build a reference stream over only the kept files, but patch the
-        # expected file indices back to the original global numbering.
-        mapping = [
-            i for i, (n, _) in enumerate(ALL_FILES) if n not in dropped
-        ]
-        stream = StreamingCorpus()
-        stream.ingest(kept)
-        result = stream.run(task_by_name(task_name)).result
-        if task_name in ("word_count", "sequence_count"):
-            # Word ids may differ if a word only occurred in dropped
-            # files; compare via rendered words instead.
-            return {
-                stream.vocab[k]: v for k, v in result.items()
-            } if task_name == "word_count" else result
-        if task_name == "inverted_index":
-            return {
-                k: [mapping[f] for f in files] for k, files in result.items()
-            }
-        return result
-
-    def test_word_count_excludes_deleted_content(self):
-        stream = self.build()
-        stream.delete_file("mon.log")
-        result = stream.run(task_by_name("word_count")).result
-        rendered = {stream.vocab[k]: v for k, v in result.items()}
-        expected_tokens = [
-            t for n, text in ALL_FILES if n != "mon.log"
-            for t in text.split()
-        ]
-        expected = {}
-        for token in expected_tokens:
-            expected[token] = expected.get(token, 0) + 1
-        assert rendered == expected
-
-    def test_inverted_index_drops_deleted_file(self):
-        stream = self.build()
-        index_before = stream.run(task_by_name("inverted_index")).result
-        deleted_index = stream.delete_file("wed.log")
-        index_after = stream.run(task_by_name("inverted_index")).result
+    def test_inverted_index_drops_deleted_file(self, stream):
+        index_before = query(stream, "inverted_index")
+        stream.delete("wed.log")
+        index_after = query(stream, "inverted_index")
         for posting in index_after.values():
-            assert deleted_index not in posting
+            assert "wed.log" not in posting
         # Other files' postings are untouched.
         for word, posting in index_after.items():
-            assert posting == [
-                f for f in index_before.get(word, []) if f != deleted_index
-            ]
+            assert posting == [f for f in index_before[word] if f != "wed.log"]
 
-    def test_term_vector_blanks_deleted_file(self):
-        stream = self.build()
-        deleted_index = stream.delete_file("thu.log")
-        vectors = stream.run(task_by_name("term_vector")).result
-        assert vectors[deleted_index] == []
-        assert len(vectors) == stream.n_files
+    def test_term_vector_blanks_deleted_file(self, stream):
+        stream.delete("thu.log")
+        vectors = query(stream, "term_vector")
+        assert "thu.log" not in vectors
+        assert len(vectors) == stream.corpus.n_live
 
-    def test_ranked_index_filters_postings(self):
-        stream = self.build()
-        deleted_index = stream.delete_file("fri.log")
-        ranked = stream.run(task_by_name("ranked_inverted_index")).result
+    def test_ranked_index_filters_postings(self, stream):
+        stream.delete("fri.log")
+        ranked = query(stream, "ranked_inverted_index")
         for posting in ranked.values():
-            assert all(f != deleted_index for f, _ in posting)
+            assert all(doc != "fri.log" for doc, _ in posting)
 
-    def test_sequence_count_subtracts_deleted(self):
-        stream = self.build()
-        before = stream.run(task_by_name("sequence_count")).result
-        stream.delete_file("mon.log")
-        after = stream.run(task_by_name("sequence_count")).result
+    def test_sequence_count_subtracts_deleted(self, stream):
+        before = query(stream, "sequence_count")
+        stream.delete("mon.log")
+        after = query(stream, "sequence_count")
         assert sum(after.values()) < sum(before.values())
         assert all(v > 0 for v in after.values())
 
-    def test_delete_unknown_file(self):
-        stream = self.build()
-        with pytest.raises(KeyError):
-            stream.delete_file("nonexistent.log")
+    def test_delete_unknown_file(self, stream):
+        with pytest.raises(ReproError):
+            stream.delete("nonexistent.log")
 
-    def test_live_files_tracking(self):
-        stream = self.build()
-        assert len(stream.live_files) == 5
-        stream.delete_file("mon.log")
-        assert len(stream.live_files) == 4
-        assert 0 not in stream.live_files
+    def test_live_files_tracking(self, stream):
+        assert stream.corpus.n_live == 5
+        stream.delete("mon.log")
+        assert stream.corpus.n_live == 4
+        assert "mon.log" not in stream.corpus.live_doc_names()
