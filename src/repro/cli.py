@@ -61,6 +61,14 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _check_minima(args, minima: tuple[tuple[str, float], ...]) -> None:
+    """Exit 2 in one line when a numeric option is below its minimum."""
+    for flag, least in minima:
+        value = getattr(args, flag)
+        if value is not None and value < least:
+            _usage_error(f"--{flag} must be at least {least:g}, not {value:g}")
+
+
 def _task_names(spec: str) -> list[str]:
     """Parse ``task[,task...]``; exit 2 on an unknown or empty list."""
     names = [name.strip() for name in spec.split(",") if name.strip()]
@@ -266,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     obs.add_argument(
         "--events",
         type=int,
-        default=0,
+        default=None,
         metavar="N",
         help="--metrics: also print the last N structured journal events",
     )
@@ -497,6 +505,7 @@ def _cmd_ingest(args) -> int:
     from repro.ingest import SegmentedEngine
     from repro.ingest.trace import parse_trace, replay_trace, synthetic_trace
 
+    _check_minima(args, (("ngram", 2),))
     names = _task_names(args.tasks)
     if args.trace == "synthetic":
         ops = synthetic_trace(
@@ -560,6 +569,16 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+#: Lower bounds of ``run``'s numeric options.
+_RUN_MINIMA = (
+    ("ngram", 2),
+    ("top", 0),
+    ("endurance", 1),
+    ("depth", 1),
+    ("tolerance", 0),
+    ("events", 0),
+)
+
 #: Observation flags that need their parent flag.
 _NEEDS = (
     ("depth", "profile"),
@@ -573,8 +592,9 @@ _NEEDS = (
 
 def _cmd_run(args) -> int:
     names = _task_names(args.task)
+    _check_minima(args, _RUN_MINIMA)
     for flag, parent in _NEEDS:
-        if getattr(args, flag) and not getattr(args, parent):
+        if getattr(args, flag) is not None and not getattr(args, parent):
             _usage_error(f"--{flag.replace('_', '-')} needs --{parent}")
     observing = args.wear or args.profile or args.metrics or args.image_out
     if observing and not args.system.startswith("ntadoc"):

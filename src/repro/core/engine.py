@@ -27,7 +27,6 @@ naive NVM port         device="nvm", naive=True (Section III-B)
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -45,8 +44,7 @@ from repro.nvm.pool import NvmPool
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
-from repro.obs.events import EventJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, attached
 from repro.pstruct import layout
 from repro.pstruct.layout import next_power_of_two
 from repro.sequitur import serialization
@@ -378,17 +376,20 @@ class NTadocEngine:
         #: the pool/guard after the run to verify scrub idempotence; the
         #: CLI reads wear counters and pool images off it).
         self.last_state: _RunState | None = None
-        #: Always-on metrics registry and event journal (None when the
-        #: config disables them); both live as long as the engine and
-        #: accumulate across runs.
-        self.metrics: MetricsRegistry | None = None
-        self.journal: EventJournal | None = None
-        if self.config.metrics:
-            self.metrics = MetricsRegistry()
-            self.journal = EventJournal()
-            self.journal.bind(registry=self.metrics)
-        #: The current flight recorder's journal sink (replaced per run).
-        self._recorder_sink: Any = None
+        #: The engine's instruments: the configured tracer, plus the
+        #: always-on registry and journal, which live as long as the
+        #: engine and accumulate across runs.
+        self.recorder = Recorder(self.config.tracer, self.config.metrics)
+
+    @property
+    def metrics(self):
+        """The always-on metrics registry (None when metrics are off)."""
+        return self.recorder.registry
+
+    @property
+    def journal(self):
+        """The always-on event journal (None when metrics are off)."""
+        return self.recorder.journal
 
     # ------------------------------------------------------------------
     # Sizing
@@ -467,7 +468,6 @@ class NTadocEngine:
                 from repro.nvm.scrub import MediaGuard
 
                 guard = MediaGuard(pool)
-            self._alloc_flightrec(pool)
         else:
             pool = report.pool
             pool_mem = pool.memory
@@ -480,9 +480,27 @@ class NTadocEngine:
             name="dram-scratch",
             reference=not config.kernels,
         )
-        self._attach_observability(clock, pool_mem, pool)
         ledger = MemoryLedger()
-        self._bind_tracer(clock, pool_mem, dram_mem, ledger)
+        self.recorder.bind(
+            clock,
+            {"pool": pool_mem, "dram": dram_mem},
+            ledger,
+            pool=pool,
+            snapshot=self._flight_snapshot(pool_mem),
+        )
+        with attached(self.recorder):
+            obs_events.emit(
+                "engine_start",
+                device=config.device,
+                persistence=config.persistence,
+            )
+            obs_events.emit(
+                "kernel_backend",
+                backend=type(pool_mem.kernels).__name__
+                if pool_mem.kernels is not None
+                else "scalar",
+                mode=config.kernels,
+            )
         return _RunState(
             clock=clock,
             pool_mem=pool_mem,
@@ -490,7 +508,7 @@ class NTadocEngine:
             dram_alloc=PoolAllocator(dram_mem, base=0, capacity=dram_mem.size),
             pool=pool,
             ledger=ledger,
-            timeline=PhaseTimeline(clock, tracer=config.tracer),
+            timeline=PhaseTimeline(clock),
             disk=DeviceProfile.by_name(config.disk),
             phase_persist=(
                 PhasePersistence(pool) if config.persistence == "phase" else None
@@ -498,89 +516,6 @@ class NTadocEngine:
             op_commit=self._make_op_commit(pool),
             pruned=None if report is None else report.pruned,
             guard=guard,
-        )
-
-    def _bind_tracer(
-        self,
-        clock: SimulatedClock,
-        pool_mem: SimulatedMemory,
-        dram_mem: SimulatedMemory,
-        ledger: MemoryLedger,
-    ) -> None:
-        """Bind the configured tracer (if any) to this run's machinery."""
-        tracer = self.config.tracer
-        if tracer is not None:
-            tracer.bind(
-                clock=clock,
-                memories={"pool": pool_mem, "dram": dram_mem},
-                ledger=ledger,
-            )
-
-    def _alloc_flightrec(self, pool: NvmPool) -> None:
-        """Reserve the black-box region on a fresh pool.
-
-        Allocated *unconditionally* -- metrics on or off -- and pinned
-        at the TOP of the pool extent, so data placement (and therefore
-        the persisted image outside ``__flightrec__``) is bit-identical
-        whether or not the black box exists (allocation is a host-side
-        dictionary write; it charges nothing and touches no device
-        bytes).  Line-aligned and line-padded like the MediaGuard tables
-        so recorder pokes never share a device line with charged data.
-        A pool explicitly sized too small for the region simply goes
-        without a black box.
-        """
-        from repro.nvm.flightrec import FLIGHTREC_REGION, region_bytes
-
-        if pool.has_region(FLIGHTREC_REGION):
-            pool.reserve_top_region(FLIGHTREC_REGION)
-            return
-        line_size = pool.memory.profile.line_size
-        size = region_bytes()
-        size = (size + line_size - 1) // line_size * line_size
-        try:
-            pool.alloc_region_top(FLIGHTREC_REGION, size, align=line_size)
-        except OutOfMemoryError:
-            pass
-
-    def _attach_observability(
-        self, clock: SimulatedClock, pool_mem: SimulatedMemory, pool: NvmPool
-    ) -> None:
-        """Rebind the journal to this run's clock and install the
-        flight recorder over the pool's black-box region (resuming the
-        on-media sequence numbers when the region already holds a ring,
-        e.g. a reopened or recovered pool)."""
-        journal = self.journal
-        if journal is None:
-            return
-        from repro.nvm.flightrec import FLIGHTREC_REGION, FlightRecorder
-
-        journal.bind(clock=clock)
-        if self._recorder_sink is not None:
-            journal.remove_sink(self._recorder_sink)
-            self._recorder_sink = None
-        if pool.has_region(FLIGHTREC_REGION):
-            pool.reserve_top_region(FLIGHTREC_REGION)
-            offset, size = pool.get_region(FLIGHTREC_REGION)
-            recorder = FlightRecorder(
-                pool_mem,
-                offset,
-                size,
-                snapshot_provider=self._flight_snapshot(pool_mem),
-            )
-            pool_mem.attach_flight_recorder(recorder)
-            self._recorder_sink = recorder.record
-            journal.add_sink(recorder.record)
-        journal.emit(
-            "engine_start",
-            device=self.config.device,
-            persistence=self.config.persistence,
-        )
-        journal.emit(
-            "kernel_backend",
-            backend=type(pool_mem.kernels).__name__
-            if pool_mem.kernels is not None
-            else "scalar",
-            mode=self.config.kernels,
         )
 
     def _flight_snapshot(self, pool_mem: SimulatedMemory):
@@ -599,16 +534,6 @@ class NTadocEngine:
             }
 
         return provider
-
-    @contextmanager
-    def _observed(self):
-        """Attach tracer, metrics registry, and event journal around a
-        run so deep layers (pool, scrub, planner, kernels) can record
-        through the module-level helpers without plumbing."""
-        with obs.attached(self.config.tracer):
-            with obs_metrics.attached(self.metrics):
-                with obs_events.attached(self.journal):
-                    yield
 
     def _record_run_metrics(
         self, state: _RunState, stats_start, records_start: int, label: str
@@ -632,10 +557,8 @@ class NTadocEngine:
         registry.inc("ntadoc_pool_cache_misses_total", delta.cache_misses)
         registry.inc("ntadoc_pool_flush_ops_total", delta.flush_ops)
         registry.inc("ntadoc_pool_flushed_lines_total", delta.flushed_lines)
-        for record in state.timeline.records[records_start:]:
-            registry.observe(
-                "ntadoc_phase_ns", record.sim_ns, phase=record.name
-            )
+        for phase, ns in state.timeline.items(records_start):
+            registry.observe("ntadoc_phase_ns", ns, phase=phase)
 
     def _charge_init_stream(self, state: _RunState) -> None:
         """Per-run initialization charges that precede any pool work:
@@ -818,7 +741,7 @@ class NTadocEngine:
         flags = {"resumed": True} if resumed else {}
         stats_start = state.pool_mem.stats.snapshot()
         records_start = len(state.timeline.records)
-        with self._observed():
+        with attached(self.recorder):
             obs_events.emit(
                 "phase_start",
                 phase="initialization",
@@ -1070,7 +993,7 @@ class NTadocEngine:
         from repro.nvm.persist import TransactionLog
 
         pool = state.pool
-        with self._observed():
+        with attached(self.recorder):
             with state.timeline.phase("recovery"):
                 with obs.span("recover:media", category="recovery") as span:
                     txlog = TransactionLog(

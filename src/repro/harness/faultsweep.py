@@ -20,8 +20,9 @@ must end
 
 **never a silent wrong answer**.  An analytics result that differs from
 the fault-free reference, an untyped exception escaping the engine
-entry points, or a failure report without a damage kind is a violation
-(the sweep's exit status).
+entry points, a failure report without a damage kind, or a recovered
+run charging no more than the fault-free one (recovery is charged work)
+is a violation (the sweep's exit status).
 
 Fault points are learned, not guessed: a counting run records -- via
 :attr:`~repro.nvm.faults.FaultPlan.on_read` -- which device offsets each
@@ -48,7 +49,6 @@ model and the judging rules.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import asdict, dataclass
 
@@ -190,6 +190,18 @@ class _FaultSweep:
                 "problem": problem,
             }
         )
+
+    def recovered(self, scenario: str, kind: str, index, extra_ns: float) -> None:
+        """A correct run that charged differently from the fault-free one:
+        recovery is charged work, so it must have charged *more*."""
+        self.outcome("detected_recovered")
+        self.recovery_extra_ns.append(extra_ns)
+        if extra_ns <= 0:
+            self.violation(
+                scenario, kind, index,
+                f"recovery is charged work, yet the recovered run charged "
+                f"{extra_ns:+.1f} ns against the fault-free run",
+            )
 
     def check_blackbox(self, scenario: str, kind: str, index, engine) -> None:
         """Judge the flight recorder after one media-faulted run.
@@ -364,8 +376,7 @@ class _FaultSweep:
             if out.total_ns == ref_ns:
                 self.outcome("latent" if fired else "masked")
             else:
-                self.outcome("detected_recovered")
-                self.recovery_extra_ns.append(out.total_ns - ref_ns)
+                self.recovered("engine", kind, index, out.total_ns - ref_ns)
         self.check_blackbox("engine", kind, index, engine)
         if self.config.reanalyze:
             self._scrub_and_reanalyze(
@@ -498,8 +509,7 @@ class _FaultSweep:
             if out.total_ns == ref_ns:
                 self.outcome("latent" if plan.dead_lines else "masked")
             else:
-                self.outcome("detected_recovered")
-                self.recovery_extra_ns.append(out.total_ns - ref_ns)
+                self.recovered("wear", "wear_death", index, out.total_ns - ref_ns)
         self.check_blackbox("wear", "wear_death", index, engine)
         if self.config.reanalyze:
             self._scrub_and_reanalyze(
@@ -611,8 +621,7 @@ class _FaultSweep:
                 "latent" if self._fault_fired(fault, plan) else "masked"
             )
         else:
-            self.outcome("detected_recovered")
-            self.recovery_extra_ns.append(out.total_ns - ref_ns)
+            self.recovered("fused", kind, index, out.total_ns - ref_ns)
         self.check_blackbox("fused", kind, index, engine)
 
 

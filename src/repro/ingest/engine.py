@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -74,8 +73,7 @@ from repro.nvm.pool import NvmPool
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracer as obs
-from repro.obs.events import EventJournal
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import Recorder, attached
 
 #: Pool region holding the CRC-sealed logical segment manifest.
 MANIFEST_REGION = "__manifest__"
@@ -149,7 +147,10 @@ class SegmentedEngine:
     ) -> None:
         self.config = config or EngineConfig()
         self.compress_ops_per_token = compress_ops_per_token
-        self._init_observability()
+        #: One recorder for the whole segmented corpus: nested
+        #: per-segment engines share it, so fused-query counters and
+        #: segment events land in one place.
+        self.recorder = Recorder(self.config.tracer, self.config.metrics)
         self.clock = SimulatedClock()
         profile = DeviceProfile.by_name(self.config.device)
         self.memory = SimulatedMemory(
@@ -179,9 +180,8 @@ class SegmentedEngine:
         )
         # Zero fill = length 0, CRC32(b"") == 0: a valid empty manifest.
         self.memory.fill(self.manifest_off, MANIFEST_BYTES, 0)
-        self._alloc_flightrec()
-        self._attach_flightrec()
-        with self._observed():
+        self._bind_machinery()
+        with attached(self.recorder):
             obs_events.emit(
                 "engine_start",
                 device=self.config.device,
@@ -197,6 +197,16 @@ class SegmentedEngine:
         #: one per sealed segment ever created; :meth:`reopen` needs them
         #: the way ``recover_pool`` callers need the source corpus.
         self.artifacts: dict[str, SealedSegment] = {}
+        self.pool.flush()
+
+    # ------------------------------------------------------------------
+    # Observability (the recorder and black box; see docs/observability.md)
+    # ------------------------------------------------------------------
+
+    def _bind_machinery(self) -> None:
+        """Create the DRAM scratch device and bind the recorder to it and
+        the pool (the black box resumes its on-media sequence numbers
+        after a reopen)."""
         self._dram = SimulatedMemory(
             DeviceProfile.dram(),
             1 << 24,
@@ -204,93 +214,32 @@ class SegmentedEngine:
             name="dram-scratch",
             reference=not self.config.kernels,
         )
-        self.pool.flush()
-
-    # ------------------------------------------------------------------
-    # Observability (registry + journal + black box; see docs/observability.md)
-    # ------------------------------------------------------------------
-
-    def _init_observability(self) -> None:
-        """Create the engine-lifetime registry and journal (one pair for
-        the whole segmented corpus -- nested per-segment engines share
-        them so fused-query counters and segment events land in one
-        place)."""
-        self.metrics: MetricsRegistry | None = None
-        self.journal: EventJournal | None = None
-        self._recorder_sink: Any = None
-        if self.config.metrics:
-            self.metrics = MetricsRegistry()
-            self.journal = EventJournal()
-            self.journal.bind(registry=self.metrics)
-
-    def _share_observability(self, eng: NTadocEngine) -> None:
-        """Point a nested per-segment engine at the shared instruments."""
-        eng.metrics = self.metrics
-        eng.journal = self.journal
-
-    def _alloc_flightrec(self) -> None:
-        """Reserve the black-box region on the outer pool (unconditional
-        and top-pinned, like :meth:`NTadocEngine._alloc_flightrec`, so
-        segment placement is identical with metrics on or off)."""
-        from repro.errors import OutOfMemoryError
-        from repro.nvm.flightrec import FLIGHTREC_REGION, region_bytes
-
-        if self.pool.has_region(FLIGHTREC_REGION):
-            self.pool.reserve_top_region(FLIGHTREC_REGION)
-            return
-        line_size = self.memory.profile.line_size
-        size = region_bytes()
-        size = (size + line_size - 1) // line_size * line_size
-        try:
-            self.pool.alloc_region_top(
-                FLIGHTREC_REGION, size, align=line_size
-            )
-        except OutOfMemoryError:
-            pass
-
-    def _attach_flightrec(self) -> None:
-        """Install the flight recorder over ``__flightrec__`` (resuming
-        on-media sequence numbers after a reopen) and pipe the journal
-        into it."""
-        journal = self.journal
-        if journal is None:
-            return
-        from repro.nvm.flightrec import FLIGHTREC_REGION, FlightRecorder
-
-        journal.bind(clock=self.clock)
-        if self._recorder_sink is not None:
-            journal.remove_sink(self._recorder_sink)
-            self._recorder_sink = None
-        if not self.pool.has_region(FLIGHTREC_REGION):
-            return
-        self.pool.reserve_top_region(FLIGHTREC_REGION)
-        offset, size = self.pool.get_region(FLIGHTREC_REGION)
-        stats = self.memory.stats
-        corpus_ref = self
-
-        def provider() -> dict[str, Any]:
-            return {
-                "events": len(journal.events),
-                "flush_ops": stats.flush_ops,
-                "bytes_written": stats.bytes_written,
-                "segments": len(getattr(corpus_ref, "_device", ())),
-            }
-
-        recorder = FlightRecorder(
-            self.memory, offset, size, snapshot_provider=provider
+        self.recorder.bind(
+            self.clock,
+            {"pool": self.memory, "dram": self._dram},
+            pool=self.pool,
+            snapshot=self._flight_snapshot,
         )
-        self.memory.attach_flight_recorder(recorder)
-        self._recorder_sink = recorder.record
-        journal.add_sink(recorder.record)
 
-    @contextmanager
-    def _observed(self):
-        """Attach tracer, registry, and journal around a mutation or
-        query so spans and events from every layer are captured."""
-        with obs.attached(self.config.tracer):
-            with obs_metrics.attached(self.metrics):
-                with obs_events.attached(self.journal):
-                    yield
+    def _flight_snapshot(self) -> dict[str, Any]:
+        """The black box's per-flush ``metrics_snapshot`` slot."""
+        stats = self.memory.stats
+        return {
+            "events": len(self.recorder.journal.events),
+            "flush_ops": stats.flush_ops,
+            "bytes_written": stats.bytes_written,
+            "segments": len(getattr(self, "_device", ())),
+        }
+
+    @property
+    def metrics(self):
+        """The always-on metrics registry (None when metrics are off)."""
+        return self.recorder.registry
+
+    @property
+    def journal(self):
+        """The always-on event journal (None when metrics are off)."""
+        return self.recorder.journal
 
     # ------------------------------------------------------------------
     # Mutations
@@ -328,7 +277,7 @@ class SegmentedEngine:
         segment = self.corpus.seal()
         if segment is None:
             return None
-        with self._observed():
+        with attached(self.recorder):
             with obs.span("ingest:seal", category="ingest") as span:
                 tokens = sum(len(f) for f in segment.corpus.expand_files())
                 self.clock.cpu(self.compress_ops_per_token * max(tokens, 1))
@@ -369,7 +318,7 @@ class SegmentedEngine:
         tombstones and simply vanished).
         """
         retired, merged = self.corpus.compact(upto)
-        with self._observed():
+        with attached(self.recorder):
             with obs.span("ingest:compact", category="ingest") as span:
                 if merged is not None:
                     tokens = sum(len(f) for f in merged.corpus.expand_files())
@@ -425,30 +374,30 @@ class SegmentedEngine:
         self.seal()
         if self.corpus.n_live == 0:
             raise ReproError("cannot query an empty corpus")
-        start_ns = self.clock.ns
-        parts: dict[str, list] = {name: [] for name in task_names}
-        ngram_names: dict[int, tuple[int, ...]] = {}
-        segment_ns: dict[str, float] = {}
-        queried = 0
-        for segment in self.corpus.segments:
-            if segment.n_live == 0:
-                continue  # fully tombstoned: contributes nothing
-            dseg = self._device[segment.name]
-            state = self._query_state(dseg)
-            outcome = dseg.engine.run_many_on(
-                [task_by_name(name) for name in task_names], state
-            )
-            dseg.pruned = state.pruned  # cache a lazy post-reopen build
-            segment_ns[segment.name] = outcome.total_ns
-            queried += 1
-            for run in outcome.results:
-                parts[run.task].append((segment, run.result))
-                ngram_names.update(run.ngram_names)
-            self._free_results(dseg.pool)
-        vocab = self.corpus.dictionary.words()
-        doc_names = self.corpus.live_doc_names()
-        rendered: dict[str, Any] = {}
-        with self._observed():
+        with attached(self.recorder):
+            start_ns = self.clock.ns
+            parts: dict[str, list] = {name: [] for name in task_names}
+            ngram_names: dict[int, tuple[int, ...]] = {}
+            segment_ns: dict[str, float] = {}
+            queried = 0
+            for segment in self.corpus.segments:
+                if segment.n_live == 0:
+                    continue  # fully tombstoned: contributes nothing
+                dseg = self._device[segment.name]
+                state = self._query_state(dseg)
+                outcome = dseg.engine.run_many_on(
+                    [task_by_name(name) for name in task_names], state
+                )
+                dseg.pruned = state.pruned  # cache a lazy post-reopen build
+                segment_ns[segment.name] = outcome.total_ns
+                queried += 1
+                for run in outcome.results:
+                    parts[run.task].append((segment, run.result))
+                    ngram_names.update(run.ngram_names)
+                self._free_results(dseg.pool)
+            vocab = self.corpus.dictionary.words()
+            doc_names = self.corpus.live_doc_names()
+            rendered: dict[str, Any] = {}
             with obs.span(
                 "ingest:merge", category="ingest", segments=queried
             ):
@@ -573,14 +522,14 @@ class SegmentedEngine:
         engine = object.__new__(cls)
         engine.config = config or EngineConfig()
         engine.compress_ops_per_token = compress_ops_per_token
-        engine._init_observability()
+        engine.recorder = Recorder(engine.config.tracer, engine.config.metrics)
         engine.clock = memory.clock
         engine.memory = memory
         pool = NvmPool(memory)
         pool.load_directory()
         engine.pool = pool
-        engine._attach_flightrec()  # resumes the pre-crash ring's seq
-        with engine._observed():
+        engine._bind_machinery()
+        with attached(engine.recorder):
             with obs.span("ingest:reopen", category="ingest") as span:
                 engine.guard = None
                 if pool.media_protect:
@@ -637,21 +586,12 @@ class SegmentedEngine:
         engine.artifacts = dict(artifacts)
         engine._device = {}
         for seg in segments:
-            seg_engine = NTadocEngine(seg.corpus, engine.config)
-            engine._share_observability(seg_engine)
             engine._device[seg.name] = _DeviceSegment(
                 segment=seg,
-                engine=seg_engine,
+                engine=engine._segment_engine(seg.corpus),
                 pool=pool.segment_pool(seg.name),
                 pruned=None,  # rebuilt (charged) on the next query
             )
-        engine._dram = SimulatedMemory(
-            DeviceProfile.dram(),
-            1 << 24,
-            engine.clock,
-            name="dram-scratch",
-            reference=not engine.config.kernels,
-        )
         engine.pool.flush()
         return engine
 
@@ -659,11 +599,15 @@ class SegmentedEngine:
     # Internals
     # ------------------------------------------------------------------
 
+    def _segment_engine(self, corpus) -> NTadocEngine:
+        """A per-segment engine recording into this engine's recorder."""
+        eng = NTadocEngine(corpus, self.config)
+        eng.recorder = self.recorder
+        return eng
+
     def _install_segment(self, segment: SealedSegment) -> None:
         """Create the segment's extent and build its DAG pool (charged)."""
-        config = self.config
-        eng = NTadocEngine(segment.corpus, config)
-        self._share_observability(eng)
+        eng = self._segment_engine(segment.corpus)
         estimate = eng._estimate_pool_bytes(n_tasks=len(MERGEABLE_TASKS))
         size = estimate - _ENGINE_HEADROOM + _SEGMENT_SLACK
         self.pool.create_segment(segment.name, size)
@@ -699,12 +643,19 @@ class SegmentedEngine:
             # scratch above the structure regions, and plan execution
             # assumes allocations return zeroed memory -- sanitize the
             # whole extent (charged) before rebuilding into it.
-            off, size = self.pool.get_segment(dseg.segment.name)
-            self.memory.fill(off, size, 0)
-            dseg.pruned = self._build_segment_dag(
-                dseg.engine, dseg.pool, dseg.segment.corpus
-            )
-            dseg.pool.save_directory()
+            with obs.span(
+                "ingest:rebuild", category="ingest", segment=dseg.segment.name
+            ):
+                off, size = self.pool.get_segment(dseg.segment.name)
+                self.memory.fill(off, size, 0)
+                dseg.pruned = self._build_segment_dag(
+                    dseg.engine, dseg.pool, dseg.segment.corpus
+                )
+                dseg.pool.save_directory()
+        ledger = MemoryLedger()
+        self.recorder.bind(
+            self.clock, {"pool": self.memory, "dram": self._dram}, ledger
+        )
         return _RunState(
             clock=self.clock,
             pool_mem=self.memory,
@@ -713,8 +664,8 @@ class SegmentedEngine:
                 self._dram, base=0, capacity=self._dram.size
             ),
             pool=dseg.pool,
-            ledger=MemoryLedger(),
-            timeline=PhaseTimeline(self.clock, tracer=self.config.tracer),
+            ledger=ledger,
+            timeline=PhaseTimeline(self.clock),
             disk=DeviceProfile.by_name(self.config.disk),
             phase_persist=None,
             op_commit=lambda: None,

@@ -69,13 +69,16 @@ ENTROPY_PREFIXES = ("secrets.",)
 #: Builtins whose result is process-layout dependent.
 LAYOUT_CALLS = frozenset({"id"})
 
-#: Qualified-name prefixes of the observability layer: the metrics
-#: registry and the event journal.  Values produced by calls into these
-#: modules are ND014 taint sources -- recording into them is free
-#: anywhere, but a value read *back out* (a counter value, a snapshot,
-#: a journal length) must never influence charging: metrics describe
-#: the run, they do not participate in it.
+#: Qualified-name prefixes of the observability layer: the active
+#: recorder slot (:func:`repro.obs.recorder.current`, the one accessor
+#: to the tracer, registry and journal), the metrics registry and the
+#: event journal.  Values produced by calls into these modules are ND014
+#: taint sources -- recording into them is free anywhere, but a value
+#: read *back out* (a counter value, a snapshot, a journal length, a
+#: span total) must never influence charging: metrics describe the run,
+#: they do not participate in it.
 METRICS_CALL_PREFIXES = (
+    "repro.obs.recorder.",
     "repro.obs.metrics.",
     "repro.obs.events.",
 )

@@ -1,11 +1,12 @@
 """ND014: observability value flowing into a charging sink.
 
-The always-on metrics registry and the structured event journal
-(:mod:`repro.obs.metrics`, :mod:`repro.obs.events`) are *observational*:
-recording into them is free anywhere, and the flight recorder persists
-them at zero charged nanoseconds.  That contract only holds if the flow
-is one-way -- a value read back out of the observability layer (a
-counter value, a registry snapshot, a journal length) must never reach
+The span tracer, the always-on metrics registry and the structured
+event journal (reached through :func:`repro.obs.recorder.current`) are
+*observational*: recording into them is free anywhere, and the flight
+recorder persists them at zero charged nanoseconds.  That contract only
+holds if the flow is one-way -- a value read back out of the
+observability layer (a counter value, a registry snapshot, a journal
+length, a span total) must never reach
 the charging paths: ``clock.advance(...)``, any ``charge*`` helper, or
 a store into a ``*_ns`` attribute.  One such flow and turning metrics
 off changes simulated time, which breaks the bit-identity guarantee the
@@ -17,9 +18,9 @@ observability modules are ``metrics``-labelled sources, labels propagate
 through assignments, containers, control flow, and resolved callee
 summaries, and a labelled value meeting a charging sink is the finding::
 
-    from repro.obs.metrics import current_registry
+    from repro.obs.recorder import current
 
-    reg = current_registry()
+    reg = current().registry
     seen = reg.snapshot()["counters"]["ntadoc_runs_total"]
     clock.advance(seen * 10.0)          # ND014: charging sees a metric
 

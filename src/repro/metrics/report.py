@@ -173,18 +173,16 @@ def hot_spans_report(tracer: "Tracer", top: int = 15) -> str:
 
 def ops_report(tracer: "Tracer") -> str:
     """Op-level counter table (bulk-op counts and sim-ns totals)."""
-    ranked = sorted(
-        tracer.ops.values(), key=lambda op: op.sim_ns, reverse=True
-    )
+    ranked = sorted(tracer.ops.values(), key=lambda op: op.sum, reverse=True)
     rows = []
     for op in ranked:
         rows.append(
             [
                 op.name,
                 str(op.count),
-                format_ns(op.sim_ns),
-                format_ns(op.mean_ns),
-                format_ns(op.max_ns),
+                format_ns(op.sum),
+                format_ns(op.mean),
+                format_ns(op.max),
             ]
         )
     return format_table(

@@ -3,24 +3,28 @@
 The paper breaks analytics time into an *initialization phase* (load the
 compressed dataset, build the DAG pool, allocate structures) and a *graph
 traversal phase* (propagate weights, collect and persist results).  The
-timeline records the simulated nanoseconds spent in each phase plus wall
-time for diagnostics.
+timeline records each phase's interval on the simulated clock, once, as a
+``phase:<name>`` :class:`~repro.obs.tracer.Span`.
 
 :func:`wall_now_s` is the repo's single sanctioned wall-clock read: wall
 time is only ever reported *next to* simulated time, never mixed into any
-simulated figure, so both the timeline and the span tracer
-(:mod:`repro.obs.tracer`) route through it instead of carrying their own
-nvmlint suppressions.
+simulated figure, so every span (phase records included) routes through
+it instead of carrying its own nvmlint suppression.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.nvm.memory import SimulatedClock
+from repro.obs import recorder
+from repro.obs import tracer as obs
+
+#: Name prefix of a phase's span.
+PHASE_PREFIX = "phase:"
 
 
 def wall_now_s() -> float:
@@ -36,57 +40,65 @@ def wall_now_s() -> float:
 
 
 @dataclass
-class PhaseRecord:
-    """One completed phase."""
-
-    name: str
-    sim_ns: float
-    wall_s: float
-
-
-@dataclass
 class PhaseTimeline:
-    """Accumulates phase records against a simulated clock.
+    """Phase intervals on one simulated clock, one span per phase.
 
-    With a ``tracer`` attached, every phase also opens a root-level
-    ``phase:<name>`` span sharing this timeline's exact clock readings,
-    so the tracer's root spans partition the timeline's total bit-exactly
-    (the obs layer's partition guarantee).
+    When the active recorder's tracer reads this clock, a phase's record
+    *is* the tracer's root ``phase:<name>`` span, so the tracer's root
+    spans partition the timeline's total bit-exactly (the obs layer's
+    partition guarantee).  Otherwise the timeline keeps a span of its own.
     """
 
     clock: SimulatedClock
-    records: list[PhaseRecord] = field(default_factory=list)
-    tracer: Any = None
+    #: Closed phase spans, innermost first when phases nest.
+    records: list[obs.Span] = field(default_factory=list)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        """Time a phase on both the simulated clock and the wall clock."""
-        sim_start = self.clock.ns
-        wall_start = wall_now_s()
-        if self.tracer is not None:
-            with self.tracer.span(f"phase:{name}", category="phase"):
-                yield
-        else:
-            yield
-        self.records.append(
-            PhaseRecord(
-                name=name,
-                sim_ns=self.clock.ns - sim_start,
-                wall_s=wall_now_s() - wall_start,
-            )
+        """Time a phase on the simulated clock.
+
+        The record closes in ``finally``: a phase an exception unwinds
+        (a media fault the engine recovers from) keeps the time it
+        charged, exactly like its span.
+        """
+        label = PHASE_PREFIX + name
+        active = recorder.current()
+        tracer = active.tracer if active is not None else None
+        if tracer is not None and tracer.clock is not self.clock:
+            tracer = None
+        opened = (
+            tracer.span(label, category="phase")
+            if tracer is not None
+            else nullcontext()
         )
+        with opened as record:
+            own = record is None
+            if own:
+                record = obs.Span(label, category="phase")
+                record.start(self.clock)
+            try:
+                yield
+            finally:
+                if own:
+                    record.stop(self.clock)
+                self.records.append(record)
+
+    def items(self, start: int = 0) -> Iterator[tuple[str, float]]:
+        """``(phase name, simulated ns)`` per record from ``start`` on."""
+        for record in self.records[start:]:
+            yield record.name[len(PHASE_PREFIX) :], record.sim_ns
 
     def sim_ns(self, name: str) -> float:
         """Total simulated time across all phases with this name."""
-        return sum(r.sim_ns for r in self.records if r.name == name)
+        return sum(ns for phase, ns in self.items() if phase == name)
 
     def total_sim_ns(self) -> float:
         """Total simulated time across all recorded phases."""
-        return sum(r.sim_ns for r in self.records)
+        return sum(record.sim_ns for record in self.records)
 
     def as_dict(self) -> dict[str, float]:
         """Phase name -> simulated ns (summed over repeats)."""
         out: dict[str, float] = {}
-        for record in self.records:
-            out[record.name] = out.get(record.name, 0.0) + record.sim_ns
+        for phase, ns in self.items():
+            out[phase] = out.get(phase, 0.0) + ns
         return out

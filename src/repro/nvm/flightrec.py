@@ -46,6 +46,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import OutOfMemoryError
 from repro.obs.events import (
     CUSTOM_TYPE_CODE,
     SEVERITIES,
@@ -81,6 +82,29 @@ def region_bytes(
 ) -> int:
     """Bytes the ``__flightrec__`` region needs for this geometry."""
     return HEADER_SIZE + slot_size * nslots
+
+
+def reserve_region(pool: "NvmPool") -> tuple[int, int] | None:
+    """The pool's ``__flightrec__`` window, reserving it if it is new.
+
+    Pinned at the TOP of the pool extent, so data placement (and the
+    persisted image outside the window) is the same whether or not the
+    black box exists; allocation is a host-side directory write that
+    charges nothing.  Line-aligned and line-padded like the MediaGuard
+    tables, so recorder pokes never share a device line with charged
+    data.  A reopened pool gets its allocator capacity re-carved below
+    the existing window.  Returns ``(offset, size)``, or ``None`` when a
+    pool sized too small for the window goes without a black box.
+    """
+    if not pool.has_region(FLIGHTREC_REGION):
+        line_size = pool.memory.profile.line_size
+        size = -(-region_bytes() // line_size) * line_size
+        try:
+            pool.alloc_region_top(FLIGHTREC_REGION, size, align=line_size)
+        except OutOfMemoryError:
+            return None
+    pool.reserve_top_region(FLIGHTREC_REGION)
+    return pool.get_region(FLIGHTREC_REGION)
 
 
 class FlightRecorder:

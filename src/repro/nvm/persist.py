@@ -367,8 +367,7 @@ class Transaction:
         if not self._open:
             raise TransactionError("transaction already finished")
         mem = self._pool.memory
-        tracer = obs.current_tracer()
-        start = mem.clock.ns if tracer is not None else 0.0
+        start = mem.clock.ns
         record_size = _LOG_RECORD_SIZE + len(data)
         available = self._base + self._log.capacity - self._write_pos
         if record_size > available:
@@ -402,8 +401,7 @@ class Transaction:
         )
         mem.flush()  # persist undo record before mutating data
         mem.write(offset, data)
-        if tracer is not None:
-            tracer.op("persist:tx_write", mem.clock.ns - start)
+        obs.op("persist:tx_write", mem.clock.ns - start)
 
     def commit(self) -> None:
         """Persist the data writes and retire the log."""

@@ -157,12 +157,10 @@ class NvmPool:
         """
         if name in self._regions:
             raise PoolLayoutError(f"region {name!r} already exists")
-        tracer = obs.current_tracer()
-        start = self.memory.clock.ns if tracer is not None else 0.0
+        start = self.memory.clock.ns
         offset = self.allocator.alloc(size, align)
         self._regions[name] = (offset, size)
-        if tracer is not None:
-            tracer.op("pool:alloc_region", self.memory.clock.ns - start)
+        obs.op("pool:alloc_region", self.memory.clock.ns - start)
         return offset
 
     def alloc_region_top(self, name: str, size: int, align: int = 8) -> int:
@@ -305,8 +303,7 @@ class NvmPool:
             raise PoolLayoutError("create_segment on a non-segmented pool")
         if name in self._segments:
             raise PoolLayoutError(f"segment {name!r} already exists")
-        tracer = obs.current_tracer()
-        start = self.memory.clock.ns if tracer is not None else 0.0
+        start = self.memory.clock.ns
         if align is None:
             align = self.memory.profile.line_size
         best_idx = None
@@ -330,8 +327,7 @@ class NvmPool:
         else:
             extent = (self.allocator.alloc(size, align), size)
         self._segments[name] = extent
-        if tracer is not None:
-            tracer.op("pool:create_segment", self.memory.clock.ns - start)
+        obs.op("pool:create_segment", self.memory.clock.ns - start)
         return extent[0]
 
     def retire_segment(self, name: str) -> None:
@@ -442,8 +438,7 @@ class NvmPool:
         target chosen by :meth:`_pick_save_arena`; the other slot stays
         byte-identical so a torn flush cannot lose both copies.
         """
-        tracer = obs.current_tracer()
-        start = self.memory.clock.ns if tracer is not None else 0.0
+        start = self.memory.clock.ns
         blob = self._encode_entries()
         if len(blob) > self._arena_size:
             raise PoolLayoutError(
@@ -477,8 +472,7 @@ class NvmPool:
         mem.write(self._slot_off(arena), slot)
         self._arena_seq[arena] = seq
         self._arena_epoch[arena] = mem.flush_epoch
-        if tracer is not None:
-            tracer.op("pool:save_directory", mem.clock.ns - start)
+        obs.op("pool:save_directory", mem.clock.ns - start)
 
     @staticmethod
     def _decode_table(

@@ -10,7 +10,7 @@ small JSON-safe detail dict.
 One :class:`EventJournal` per engine.  Emission fans out three ways:
 
 * the in-memory journal (``events`` list, canonical JSON readout);
-* the metrics registry, when bound -- every event increments
+* the metrics registry, when given -- every event increments
   ``ntadoc_events_total{type=...,severity=...}``;
 * any extra sinks (the crash-persistent flight recorder,
   :mod:`repro.nvm.flightrec`, registers itself as one).
@@ -18,16 +18,17 @@ One :class:`EventJournal` per engine.  Emission fans out three ways:
 Like the tracer and the registry, emission never advances the simulated
 clock (it only reads it) and never feeds a charging sink -- nvmlint
 ND014 checks that claim on every lint run.  Deep layers emit through
-the module-level :func:`emit` helper, a no-op unless a journal is
-attached via :func:`attached`.
+the module-level :func:`emit` helper, a no-op unless the active recorder
+(:mod:`repro.obs.recorder`) carries a journal.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.obs import recorder
 
 if TYPE_CHECKING:
     from repro.nvm.memory import SimulatedClock
@@ -107,27 +108,21 @@ class Event:
 class EventJournal:
     """Ordered in-memory event log with metrics and sink fan-out."""
 
-    def __init__(self) -> None:
+    def __init__(self, registry: "MetricsRegistry | None" = None) -> None:
         self.events: list[Event] = []
         self._seq = 0
         self._clock: "SimulatedClock | None" = None
-        self._registry: "MetricsRegistry | None" = None
+        #: Counts every event in ``ntadoc_events_total`` when set.
+        self._registry = registry
         self._sinks: list[Callable[[Event], None]] = []
 
-    def bind(
-        self,
-        clock: "SimulatedClock | None" = None,
-        registry: "MetricsRegistry | None" = None,
-    ) -> None:
-        """Attach the simulated clock and/or metrics registry.
+    def bind(self, clock: "SimulatedClock") -> None:
+        """Stamp events with ``clock`` from now on.
 
         Rebinding (a resumed run with a fresh clock) replaces the
-        previous machinery; already-recorded events are untouched.
+        previous clock; already-recorded events are untouched.
         """
-        if clock is not None:
-            self._clock = clock
-        if registry is not None:
-            self._registry = registry
+        self._clock = clock
 
     def add_sink(self, sink: Callable[[Event], None]) -> None:
         """Fan emitted events out to ``sink`` (e.g. a flight recorder)."""
@@ -177,38 +172,12 @@ class EventJournal:
 
 
 # ---------------------------------------------------------------------------
-# Module-global active journal + no-op emission helper
+# No-op emission helper (it records on the active recorder's journal)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: EventJournal | None = None
-
-
-def current_journal() -> EventJournal | None:
-    """The journal attached by the innermost :func:`attached`, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def attached(journal: EventJournal | None) -> Iterator[None]:
-    """Make ``journal`` the active journal for the ``with`` body.
-
-    ``None`` is accepted (and does nothing); nesting restores the
-    previous journal on exit.
-    """
-    global _ACTIVE
-    if journal is None:
-        yield
-        return
-    previous = _ACTIVE
-    _ACTIVE = journal
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
 
 
 def emit(event_type: str, severity: str = "info", **detail: Any) -> None:
     """Emit on the active journal; no-op when none is attached."""
-    journal = _ACTIVE
-    if journal is not None:
-        journal.emit(event_type, severity, **detail)
+    active = recorder._ACTIVE
+    if active is not None and active.journal is not None:
+        active.journal.emit(event_type, severity, **detail)

@@ -9,18 +9,20 @@ counts, per-task latency distributions.  Three instrument kinds:
 * :class:`Counter` -- monotone float, ``inc`` only.
 * :class:`Gauge` -- last-write-wins float, ``set``/``add``.
 * :class:`Histogram` -- power-of-two bucket histogram with exact
-  rank-based percentile readout, the same bucket rule as
-  :class:`~repro.obs.tracer.OpStats` (bucket *k* counts observations in
+  rank-based percentile readout (bucket *k* counts observations in
   ``[2^(k-1), 2^k)``; bucket 0 collects sub-unit values; bucket
   :data:`OVERFLOW_BUCKET` collects everything at or above ``2**63``).
+  It is the repo's one histogram: the tracer's op counters
+  (``Tracer.ops``) are histograms too.
 
 Design rules (shared with the tracer, enforced by nvmlint ND014):
 
 * Metric recording NEVER advances the simulated clock and never feeds a
   charging sink -- recording on or off cannot change one charged ns.
 * Instrumentation sites call the module-level no-op helpers
-  (:func:`inc`, :func:`set_gauge`, :func:`observe`), which cost one
-  module-global read and a ``None`` check when no registry is attached.
+  (:func:`inc`, :func:`set_gauge`, :func:`observe`), which record on the
+  active recorder's registry (:mod:`repro.obs.recorder`) and cost one
+  module-global read and a ``None`` check when none is attached.
 * All readouts are deterministic: exposition (:meth:`MetricsRegistry.
   expose`) and snapshots (:meth:`MetricsRegistry.to_json`) emit
   sorted-key, canonically formatted text, byte-identical across
@@ -31,9 +33,9 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+
+from repro.obs import recorder
 
 #: Observations at or above ``2**(OVERFLOW_BUCKET - 1)`` fold into this
 #: bucket; its upper edge reads as ``+Inf``.
@@ -123,12 +125,21 @@ class Histogram:
     count: int = 0
     sum: float = 0.0
     buckets: dict[int, int] = field(default_factory=dict)
+    #: Largest observation (0.0 while empty).
+    max: float = 0.0
 
     def observe(self, value: float) -> None:
+        if not self.count or value > self.max:
+            self.max = value
         self.count += 1
         self.sum += value
         bucket = bucket_index(value)
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+
+    @property
+    def mean(self) -> float:
+        """Mean observation (0.0 while empty)."""
+        return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
         """Upper bucket edge of the rank ``ceil(q/100 * count)`` sample.
@@ -153,6 +164,9 @@ class Histogram:
         merged = Histogram(name=self.name, labels=self.labels)
         merged.count = self.count + other.count
         merged.sum = self.sum + other.sum
+        merged.max = max(
+            (h.max for h in (self, other) if h.count), default=0.0
+        )
         merged.buckets = dict(self.buckets)
         for bucket, n in other.buckets.items():
             merged.buckets[bucket] = merged.buckets.get(bucket, 0) + n
@@ -162,10 +176,10 @@ class Histogram:
 class MetricsRegistry:
     """Named instruments with deterministic exposition and snapshots.
 
-    One registry normally lives as long as its engine; the engine
-    attaches it around each run via :func:`attached` so deep layers
-    (pool, scrub, planner, kernels) can record through the module-level
-    helpers without plumbing.
+    One registry normally lives as long as its engine; the engine's
+    recorder (:mod:`repro.obs.recorder`) makes it active around each run
+    so deep layers (pool, scrub, planner, kernels) can record through
+    the module-level helpers without plumbing.
     """
 
     def __init__(self) -> None:
@@ -297,53 +311,26 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Module-global active registry + no-op instrumentation helpers
+# No-op instrumentation helpers (they record on the active recorder's registry)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: MetricsRegistry | None = None
-
-
-def current_registry() -> MetricsRegistry | None:
-    """The registry attached by the innermost :func:`attached`, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def attached(registry: MetricsRegistry | None) -> Iterator[None]:
-    """Make ``registry`` the active registry for the ``with`` body.
-
-    ``None`` is accepted (and does nothing) so callers can pass an
-    optional config field straight through; nesting restores the
-    previous registry on exit.
-    """
-    global _ACTIVE
-    if registry is None:
-        yield
-        return
-    previous = _ACTIVE
-    _ACTIVE = registry
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
 
 
 def inc(name: str, amount: float = 1.0, **labels: str) -> None:
     """Increment a counter on the active registry; no-op when none."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.inc(name, amount, **labels)
+    active = recorder._ACTIVE
+    if active is not None and active.registry is not None:
+        active.registry.inc(name, amount, **labels)
 
 
 def set_gauge(name: str, value: float, **labels: str) -> None:
     """Set a gauge on the active registry; no-op when none."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.set_gauge(name, value, **labels)
+    active = recorder._ACTIVE
+    if active is not None and active.registry is not None:
+        active.registry.set_gauge(name, value, **labels)
 
 
 def observe(name: str, value: float, **labels: str) -> None:
     """Record a histogram observation on the active registry; no-op."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.observe(name, value, **labels)
+    active = recorder._ACTIVE
+    if active is not None and active.registry is not None:
+        active.registry.observe(name, value, **labels)

@@ -52,7 +52,7 @@ def build_snapshot(
             "flush_ops": entry["flush_ops"],
         }
     ops = {
-        name: {"count": stats.count, "sim_ns": round(stats.sim_ns, 1)}
+        name: {"count": stats.count, "sim_ns": round(stats.sum, 1)}
         for name, stats in tracer.ops.items()
     }
     devices: dict[str, dict[str, float]] = {}

@@ -15,10 +15,10 @@ Design rules (what keeps the tracer safe to thread everywhere):
   Tracing on or off cannot change a single charged nanosecond; the
   tier-1 suite pins traced and untraced runs to bit-identical totals.
 * Instrumentation sites call the module-level :func:`span` / :func:`op`
-  helpers, which are no-ops unless a tracer is *attached* (via
-  :func:`attached`, which the engine enters when
-  ``EngineConfig.tracer`` is set).  Off-path overhead is one module
-  global read and a ``None`` check.
+  helpers, which are no-ops unless the active recorder
+  (:mod:`repro.obs.recorder`) carries a tracer -- the engines set one
+  when ``EngineConfig.tracer`` is set.  Off-path overhead is one
+  module-global read and a ``None`` check.
 * Spans close in ``finally`` blocks, so an exception unwinding through
   the engine (e.g. a :class:`~repro.nvm.faults.CrashPoint` from the
   crash-sweep harness) still leaves a well-formed trace.
@@ -26,11 +26,12 @@ Design rules (what keeps the tracer safe to thread everywhere):
   repo's single sanctioned wall-clock helper; it is reported next to
   simulated time, never mixed into it.
 
-Op-level counters (:class:`OpStats`) are the cheap sibling of spans:
-bulk persistent-structure operations (``PVector.extend``,
+Op-level counters are the cheap sibling of spans: bulk
+persistent-structure operations (``PVector.extend``,
 ``PHashTable.add_many``, ...) are far too frequent to record
-individually, so they aggregate into counts plus power-of-two simulated
-ns histograms via :func:`traced_op` / :meth:`Tracer.op`.
+individually, so they aggregate into one
+:class:`~repro.obs.metrics.Histogram` (the repo's one power-of-two
+histogram) of simulated ns per call via :func:`traced_op` / :func:`op`.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.metrics.timer import wall_now_s
+from repro.obs import recorder
+from repro.obs.metrics import Histogram
 
 if TYPE_CHECKING:
     from repro.metrics.ledger import MemoryLedger
@@ -108,43 +111,21 @@ class Span:
             return 0.0
         return stats.get("cache_hits", 0) / total
 
+    def start(self, clock: "SimulatedClock | None") -> None:
+        """Open the interval on ``clock`` (0 when unbound) and the host."""
+        self.sim_start = clock.ns if clock is not None else 0.0
+        self.wall_start_s = wall_now_s()
+
+    def stop(self, clock: "SimulatedClock | None") -> None:
+        """Close the interval opened by :meth:`start`."""
+        self.sim_end = clock.ns if clock is not None else 0.0
+        self.wall_end_s = wall_now_s()
+
     def walk(self) -> Iterator["Span"]:
         """This span, then every descendant, depth-first."""
         yield self
         for child in self.children:
             yield from child.walk()
-
-
-@dataclass
-class OpStats:
-    """Aggregated counters for one op-level instrumentation point.
-
-    ``buckets`` is a power-of-two histogram of per-call simulated ns:
-    bucket *k* counts calls whose charge fell in ``[2^(k-1), 2^k)``
-    (bucket 0 collects sub-nanosecond calls).
-    """
-
-    name: str
-    count: int = 0
-    sim_ns: float = 0.0
-    min_ns: float = 0.0
-    max_ns: float = 0.0
-    buckets: dict[int, int] = field(default_factory=dict)
-
-    def observe(self, ns: float) -> None:
-        """Fold one call's simulated ns into the aggregate."""
-        if self.count == 0 or ns < self.min_ns:
-            self.min_ns = ns
-        if ns > self.max_ns:
-            self.max_ns = ns
-        self.count += 1
-        self.sim_ns += ns
-        bucket = int(ns).bit_length() if ns >= 1.0 else 0
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    @property
-    def mean_ns(self) -> float:
-        return self.sim_ns / self.count if self.count else 0.0
 
 
 class Tracer:
@@ -154,7 +135,8 @@ class Tracer:
         max_depth: Deepest span nesting level to record; spans opened
             below the limit are skipped (their time folds into the
             nearest recorded ancestor's self time).  ``None`` records
-            everything.
+            everything; below 1 is a ``ValueError`` (nothing would be
+            recorded).
 
     The tracer must be *bound* to a run's machinery (clock, device
     memories, ledger) before spans carry device attribution; the engine
@@ -164,12 +146,16 @@ class Tracer:
     """
 
     def __init__(self, max_depth: int | None = None) -> None:
+        if max_depth is not None and max_depth < 1:
+            raise ValueError(f"max_depth must be at least 1, not {max_depth}")
         self.max_depth = max_depth
         self.roots: list[Span] = []
-        self.ops: dict[str, OpStats] = {}
+        #: Op name -> histogram of simulated ns per call.
+        self.ops: dict[str, Histogram] = {}
         self.meta: dict[str, Any] = {}
         self._stack: list[Span] = []
-        self._clock: "SimulatedClock | None" = None
+        #: The bound simulated clock (``None`` until :meth:`bind`).
+        self.clock: "SimulatedClock | None" = None
         self._memories: dict[str, "SimulatedMemory"] = {}
         self._ledger: "MemoryLedger | None" = None
 
@@ -186,7 +172,7 @@ class Tracer:
         Rebinding (a second engine run reusing one tracer) replaces the
         previous machinery; already-recorded spans are untouched.
         """
-        self._clock = clock
+        self.clock = clock
         self._memories = dict(memories or {})
         self._ledger = ledger
         for name, memory in self._memories.items():
@@ -222,9 +208,8 @@ class Tracer:
             depth=len(self._stack),
             attrs=dict(attrs),
         )
-        clock = self._clock
-        span.sim_start = clock.ns if clock is not None else 0.0
-        span.wall_start_s = wall_now_s()
+        clock = self.clock
+        span.start(clock)
         starts = {
             device: memory.stats.snapshot()
             for device, memory in self._memories.items()
@@ -240,8 +225,7 @@ class Tracer:
             yield span
         finally:
             self._stack.pop()
-            span.sim_end = clock.ns if clock is not None else 0.0
-            span.wall_end_s = wall_now_s()
+            span.stop(clock)
             for device, memory in self._memories.items():
                 delta = memory.stats.delta(starts[device])
                 span.device[device] = {
@@ -261,10 +245,10 @@ class Tracer:
                 }
 
     def op(self, name: str, sim_ns: float) -> None:
-        """Fold one op-level call into the named aggregate counter."""
+        """Fold one op-level call into the named histogram."""
         stats = self.ops.get(name)
         if stats is None:
-            stats = self.ops[name] = OpStats(name=name)
+            stats = self.ops[name] = Histogram(name)
         stats.observe(sim_ns)
 
     # -- queries ---------------------------------------------------------
@@ -284,42 +268,15 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Module-global active tracer + no-op instrumentation helpers
+# No-op instrumentation helpers (they record on the active recorder's tracer)
 # ---------------------------------------------------------------------------
-
-_ACTIVE: Tracer | None = None
-
-
-def current_tracer() -> Tracer | None:
-    """The tracer attached by the innermost :func:`attached`, if any."""
-    return _ACTIVE
-
-
-@contextmanager
-def attached(tracer: Tracer | None) -> Iterator[None]:
-    """Make ``tracer`` the active tracer for the ``with`` body.
-
-    ``None`` is accepted (and does nothing) so callers can pass an
-    optional config field straight through.  Nesting restores the
-    previous tracer on exit -- a resumed run re-entering the engine
-    keeps working.
-    """
-    global _ACTIVE
-    if tracer is None:
-        yield
-        return
-    previous = _ACTIVE
-    _ACTIVE = tracer
-    try:
-        yield
-    finally:
-        _ACTIVE = previous
 
 
 @contextmanager
 def span(name: str, category: str = "span", **attrs: Any) -> Iterator[Span | None]:
     """Record a span on the active tracer; no-op when none is attached."""
-    tracer = _ACTIVE
+    active = recorder._ACTIVE
+    tracer = active.tracer if active is not None else None
     if tracer is None:
         yield None
         return
@@ -329,7 +286,8 @@ def span(name: str, category: str = "span", **attrs: Any) -> Iterator[Span | Non
 
 def op(name: str, sim_ns: float) -> None:
     """Record an op-level observation; no-op when no tracer is attached."""
-    tracer = _ACTIVE
+    active = recorder._ACTIVE
+    tracer = active.tracer if active is not None else None
     if tracer is not None:
         tracer.op(name, sim_ns)
 
@@ -346,7 +304,8 @@ def traced_op(name: str) -> Callable:
     def decorate(method: Callable) -> Callable:
         @functools.wraps(method)
         def wrapper(self, *args, **kwargs):
-            tracer = _ACTIVE
+            active = recorder._ACTIVE
+            tracer = active.tracer if active is not None else None
             if tracer is None:
                 return method(self, *args, **kwargs)
             clock = self._mem.clock

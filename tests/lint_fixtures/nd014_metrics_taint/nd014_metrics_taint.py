@@ -1,5 +1,5 @@
-from repro.obs.events import current_journal
-from repro.obs.metrics import current_registry
+"""Observability read-backs, all reached through the one active slot."""
+from repro.obs.recorder import current
 
 
 def charge_io(clock, amount):
@@ -7,17 +7,22 @@ def charge_io(clock, amount):
 
 
 def direct(clock):
-    reg = current_registry()
+    reg = current().registry
     count = reg.snapshot()["counters"]["ntadoc_runs_total"]
     clock.advance(count * 10.0)
 
 
 def indirect(clock):
-    journal = current_journal()
+    journal = current().journal
     backlog = journal.events
     charge_io(clock, len(backlog) * 2.0)
 
 
 def stored(stats):
-    reg = current_registry()
+    reg = current().registry
     stats.device_ns = reg.snapshot()["gauges"]["ntadoc_pool_resident"]
+
+
+def traced(clock):
+    tracer = current().tracer
+    clock.advance(tracer.total_sim_ns())

@@ -190,6 +190,42 @@ class TestOneRunner:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--profile", "--depth", "0"],
+            ["--profile", "--depth", "-1"],
+            ["--depth", "0"],
+            ["--wear", "--endurance", "0"],
+            ["--top", "-1"],
+            ["--profile", "--tolerance", "-1"],
+            ["--ngram", "1"],
+            ["--metrics", "prom", "--events", "-1"],
+        ],
+    )
+    def test_out_of_range_observation_values_exit_2(
+        self, corpus_path, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "word_count", str(corpus_path), *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the workload runs
+        assert captured.err.count("\n") == 1
+        assert f"--{flags[-2].lstrip('-')} must be at least" in captured.err
+
+    def test_ingest_rejects_short_ngram(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "synthetic", "--ngram", "1"])
+        assert exc.value.code == 2
+        assert "--ngram must be at least 2" in capsys.readouterr().err
+
+    def test_needs_checks_presence_not_truthiness(self, corpus_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "word_count", str(corpus_path), "--events", "0"])
+        assert exc.value.code == 2
+        assert "--events needs --metrics" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_compare_table(self, corpus_path, capsys):

@@ -145,6 +145,23 @@ class TestScrubAndReanalyze:
         )
         assert recover.attrs["quarantined_regions"] >= 1
 
+    def test_interrupted_attempt_counts_toward_total(self, corpus):
+        """A fault at the first clean read unwinds an open phase; the
+        time that attempt charged stays in the run's total, so recovery
+        costs more than the fault-free run and the root spans still
+        partition the total exactly."""
+        tracer = Tracer()
+        engine = protected_engine(corpus, tracer=tracer)
+        ref, trace = reference(engine, "word_count")
+        tracer.reset()
+        plan = FaultPlan(media_faults=[fault_at(trace, index=0)])
+        out = engine.run(task_by_name("word_count"), fault_plan=plan)
+        assert not out.failed
+        assert out.result == ref.result
+        assert out.total_ns > ref.total_ns
+        assert tracer.total_sim_ns() == out.total_ns
+        assert all(root.category == "phase" for root in tracer.roots)
+
 
 class TestRunManyResilient:
     TASKS = ("word_count", "inverted_index", "term_vector")

@@ -12,6 +12,7 @@ import json
 
 from repro.harness.faultsweep import (
     FaultSweepConfig,
+    _FaultSweep,
     render_report,
     run_sweep,
 )
@@ -40,6 +41,15 @@ class TestFaultSweep:
         assert report["outcomes"]["detected_recovered"] > 0
         # Recovery charges simulated time; the mean must be visible.
         assert report["mean_recovery_extra_ns"] > 0
+
+    def test_recovery_charging_no_more_is_a_violation(self):
+        sweep = _FaultSweep(reduced_config())
+        sweep.recovered("engine", "bitflip", 3, -13871.6)
+        sweep.recovered("fused", "stuck_line", 4, 250.0)
+        assert sweep.outcomes == {"detected_recovered": 2}
+        (violation,) = sweep.violations
+        assert (violation["scenario"], violation["index"]) == ("engine", 3)
+        assert "recovery is charged work" in violation["problem"]
 
     def test_scrub_leg_reanalyzes_bit_identically(self):
         report = run_sweep(reduced_config())

@@ -12,8 +12,8 @@ from repro.nvm.memory import SimulatedClock, SimulatedMemory
 from repro.nvm.persist import TransactionLog
 from repro.nvm.pool import NvmPool
 from repro.nvm.scrub import REMAP_REGION, SEAL_REGION, MediaGuard
+from repro.obs.recorder import Recorder, attached
 from repro.obs.tracer import Tracer
-from repro.obs import tracer as obs
 
 LINE = DeviceProfile.nvm().line_size
 
@@ -244,7 +244,7 @@ class TestScrub:
             )
         )
         tracer = Tracer()
-        with obs.attached(tracer):
+        with attached(Recorder(tracer)):
             guard.scrub()
         names = [span.name for span in tracer.spans()]
         assert "scrub:pass" in names

@@ -117,7 +117,7 @@ class TestTimeline:
             clock.advance(10)
         # Records land innermost-first; the outer interval includes the
         # inner one (nesting does not subtract).
-        assert [r.name for r in timeline.records] == ["inner", "outer"]
+        assert [name for name, _ in timeline.items()] == ["inner", "outer"]
         assert timeline.sim_ns("inner") == 40
         assert timeline.sim_ns("outer") == 150
 
@@ -136,33 +136,63 @@ class TestTimeline:
         assert timeline.sim_ns("work") == 11
         assert timeline.as_dict() == {"work": 11.0}
 
-    def test_phase_record_dropped_on_exception(self):
-        clock = SimulatedClock()
-        timeline = PhaseTimeline(clock)
-        with pytest.raises(RuntimeError):
-            with timeline.phase("doomed"):
-                clock.advance(9)
-                raise RuntimeError("crash mid-phase")
-        assert timeline.records == []
-
-    def test_traced_timeline_shares_clock_readings(self):
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_interrupted_phase_recorded_like_its_span(self, traced):
+        from repro.obs.recorder import Recorder, attached
         from repro.obs.tracer import Tracer
 
         clock = SimulatedClock()
         tracer = Tracer()
         tracer.bind(clock=clock)
-        timeline = PhaseTimeline(clock, tracer=tracer)
-        with timeline.phase("initialization"):
-            clock.advance(123.456)
-        with timeline.phase("traversal"):
-            clock.advance(77.5)
-        # Bit-exact (no approx): phase spans reuse the timeline's clock.
+        timeline = PhaseTimeline(clock)
+        with attached(Recorder(tracer) if traced else None):
+            with pytest.raises(RuntimeError):
+                with timeline.phase("doomed"):
+                    clock.advance(9)
+                    raise RuntimeError("crash mid-phase")
+            with timeline.phase("retry"):
+                clock.advance(4)
+        # The unwound phase keeps the time it charged: a recovered run
+        # reports every attempt, not just the one that finished.
+        assert timeline.as_dict() == {"doomed": 9.0, "retry": 4.0}
+        assert timeline.total_sim_ns() == clock.ns
+        if traced:
+            assert tracer.roots == timeline.records
+            assert tracer.roots[0] is timeline.records[0]
+
+    def test_traced_timeline_shares_clock_readings(self):
+        from repro.obs.recorder import Recorder, attached
+        from repro.obs.tracer import Tracer
+
+        clock = SimulatedClock()
+        tracer = Tracer()
+        tracer.bind(clock=clock)
+        timeline = PhaseTimeline(clock)
+        with attached(Recorder(tracer)):
+            with timeline.phase("initialization"):
+                clock.advance(123.456)
+            with timeline.phase("traversal"):
+                clock.advance(77.5)
+        # Bit-exact (no approx): the phase records ARE the root spans.
         assert tracer.total_sim_ns() == timeline.total_sim_ns()
         assert [s.name for s in tracer.roots] == [
             "phase:initialization",
             "phase:traversal",
         ]
-        assert tracer.roots[0].sim_ns == timeline.records[0].sim_ns
+        assert tracer.roots[0] is timeline.records[0]
+
+    def test_tracer_on_another_clock_is_not_the_record(self):
+        from repro.obs.recorder import Recorder, attached
+        from repro.obs.tracer import Tracer
+
+        clock = SimulatedClock()
+        timeline = PhaseTimeline(clock)
+        tracer = Tracer()  # unbound: it reads no clock
+        with attached(Recorder(tracer)):
+            with timeline.phase("p"):
+                clock.advance(6)
+        assert timeline.total_sim_ns() == 6.0
+        assert tracer.roots == []
 
 
 class TestComparisons:

@@ -26,7 +26,9 @@ from repro.metrics.report import hot_spans_report, ops_report, trace_report
 from repro.nvm.memory import SimulatedClock
 from repro.obs import snapshot as snapshot_mod
 from repro.obs.export import aggregate_spans, chrome_trace, write_chrome_trace
-from repro.obs.tracer import OpStats, Tracer, attached, current_tracer
+from repro.obs.metrics import Histogram
+from repro.obs.recorder import Recorder, attached, current
+from repro.obs.tracer import Tracer
 from repro.obs import tracer as obs
 from repro.sequitur.compressor import compress_files
 
@@ -103,32 +105,48 @@ class TestTracerCore:
         assert [s.name for s in tracer.roots] == ["doomed", "after"]
 
     def test_op_stats_aggregation(self):
-        stats = OpStats(name="x")
+        tracer = Tracer()
         for ns in (0.5, 1.0, 3.0, 1000.0):
-            stats.observe(ns)
+            tracer.op("x", ns)
+        stats = tracer.ops["x"]
+        assert isinstance(stats, Histogram)  # the one histogram type
         assert stats.count == 4
-        assert stats.min_ns == 0.5
-        assert stats.max_ns == 1000.0
-        assert stats.mean_ns == pytest.approx(1004.5 / 4)
+        assert stats.max == 1000.0
+        assert stats.mean == pytest.approx(1004.5 / 4)
         # Buckets: 0.5 -> 0, 1.0 -> 1, 3.0 -> 2, 1000.0 -> 10.
         assert stats.buckets == {0: 1, 1: 1, 2: 1, 10: 1}
 
     def test_module_helpers_are_noops_without_tracer(self):
-        assert current_tracer() is None
+        assert current() is None
         with obs.span("nobody-listening") as span:
             assert span is None
         obs.op("nobody-listening", 5.0)  # must not raise
+        with attached(Recorder()):  # a recorder without a tracer
+            with obs.span("nobody-listening") as span:
+                assert span is None
+            obs.op("nobody-listening", 5.0)
 
     def test_attached_restores_previous(self):
-        outer, inner = Tracer(), Tracer()
+        outer, inner = Recorder(Tracer()), Recorder(Tracer())
         with attached(outer):
-            assert current_tracer() is outer
+            assert current() is outer
+            with obs.span("a"):
+                pass
             with attached(inner):
-                assert current_tracer() is inner
-            assert current_tracer() is outer
+                assert current() is inner
+                with obs.span("b"):
+                    pass
+            assert current() is outer
             with attached(None):  # None passes straight through
-                assert current_tracer() is outer
-        assert current_tracer() is None
+                assert current() is outer
+        assert current() is None
+        assert [s.name for s in outer.tracer.roots] == ["a"]
+        assert [s.name for s in inner.tracer.roots] == ["b"]
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_max_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError):
+            Tracer(max_depth=depth)
 
     def test_reset_keeps_bindings(self):
         clock = SimulatedClock()
@@ -173,7 +191,7 @@ class TestEngineIntegration:
 
     def test_tracer_detaches_after_run(self, corpus):
         traced_run(corpus)
-        assert current_tracer() is None
+        assert current() is None
 
     def test_device_attribution_sums_to_pool_stats(self, corpus):
         tracer, run = traced_run(corpus)
@@ -206,7 +224,7 @@ class TestEngineIntegration:
         assert "phashtable:add_many" in tracer.ops
         add_many = tracer.ops["phashtable:add_many"]
         assert add_many.count > 0
-        assert add_many.sim_ns > 0
+        assert add_many.sum > 0
         assert "pool:alloc_region" in tracer.ops
 
     def test_resident_delta_captured(self, corpus):

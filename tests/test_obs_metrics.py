@@ -29,14 +29,13 @@ from repro.obs.metrics import (
     OVERFLOW_BUCKET,
     Histogram,
     MetricsRegistry,
-    attached,
     bucket_index,
     bucket_upper_edge,
-    current_registry,
     inc,
     observe,
     set_gauge,
 )
+from repro.obs.recorder import Recorder, attached, current
 from repro.sequitur.compressor import compress_files
 
 
@@ -193,22 +192,22 @@ class TestRegistryReadout:
             registry.inc("ntadoc_runs_total", -1.0)
 
     def test_module_helpers_noop_when_detached(self):
-        assert current_registry() is None
+        assert current() is None
         inc("x")
         set_gauge("y", 1.0)
         observe("z", 2.0)  # must not raise, must not create state
 
     def test_attached_nests_and_restores(self):
-        outer, inner = MetricsRegistry(), MetricsRegistry()
+        outer, inner = Recorder(metrics=True), Recorder(metrics=True)
         with attached(outer):
             inc("depth")
             with attached(inner):
                 inc("depth")
             with attached(None):  # None is accepted and does nothing
                 inc("depth")
-        assert outer.counter("depth").value == 2.0
-        assert inner.counter("depth").value == 1.0
-        assert current_registry() is None
+        assert outer.registry.counter("depth").value == 2.0
+        assert inner.registry.counter("depth").value == 1.0
+        assert current() is None
 
 
 class TestEngineDeterminism:
