@@ -938,8 +938,20 @@ class NTadocEngine:
                     self._fail_task(task, state, error, kind, scrub, quarantined)
                 )
                 continue
+            start = len(state.timeline.records)
             out = _one(self._degrade([task], state, budget - 1, quarantined, scrub))
-            (failures if out.failed else results).append(out)
+            if out.failed:
+                failures.append(out)
+                continue
+            # The task's share of the plan is its own re-run (and any
+            # recovery inside it), not the timeline that came before.
+            results.append(
+                replace(
+                    out,
+                    phase_ns=state.timeline.as_dict(start),
+                    total_ns=state.timeline.total_sim_ns(start),
+                )
+            )
         return self._degraded_plan(state, results, failures)
 
     def scrub_and_quarantine(self):

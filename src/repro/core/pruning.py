@@ -34,9 +34,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.core.dag import Dag
 from repro.core.grammar import RULE_BASE, SEP_BASE, CompressedCorpus
+from repro.kernels import dagops
+from repro.kernels.core import pack_values
 from repro.nvm.pool import NvmPool
 from repro.pstruct import layout
 from repro.pstruct.headtail import HeadTailStore
@@ -129,6 +132,17 @@ class PrunedDag:
         self.headtail_k = headtail_k
         self.indexed_layout = bool(flags & _FLAG_INDEXED)
         self._meta_off, _ = pool.get_region(_META_REGION)
+        #: Host decode cache of the packed layout: per rule
+        #: ``(record_off, entry_off, subrules, words, fields)``, or
+        #: ``None`` until decoded; see :meth:`_row`.
+        self._rows: list = []
+        #: Decoded ordered bodies, by rule (filled on first use).
+        self._bodies: dict[int, tuple[int, ...]] = {}
+        #: :func:`repro.kernels.dagops.sweep_plan` of the rows, once built.
+        self._sweep: list | None = None
+        #: ``mem.image_epoch`` the cache is current for; -1 until
+        #: :meth:`_revalidate` (never, for the indexed layout).
+        self._epoch = -1
         self.headtail: HeadTailStore | None = None
         if headtail_k and pool.has_region(_HEADTAIL_REGION):
             ht_off, _ = pool.get_region(_HEADTAIL_REGION)
@@ -175,16 +189,15 @@ class PrunedDag:
         mem = pool.memory
         n_rules = corpus.n_rules
         # The Dag already ran the bucket pass over every body; reuse its
-        # frequency maps instead of re-scanning every symbol.
-        pruned = [
-            PrunedRule(
-                subrules=sorted(dag.subrule_freq[rule].items()),
-                words=sorted(dag.word_freq[rule].items()),
-                raw_length=len(corpus.rules[rule]),
-            )
-            for rule in range(n_rules)
-        ]
-        entries_bytes = sum(p.pruned_length for p in pruned) * 8
+        # frequency maps instead of re-scanning every symbol.  The tuples
+        # written here also seed the host decode cache.
+        subs_of = [tuple(sorted(freqs.items())) for freqs in dag.subrule_freq]
+        words_of = [tuple(sorted(freqs.items())) for freqs in dag.word_freq]
+        rows: list = [None] * n_rules
+        entries_bytes = (sum(map(len, subs_of)) + sum(map(len, words_of))) * 8
+        # The epoch under which the cache could be seeded: any loss of
+        # kernel_ready or out-of-band image change bumps it.
+        ready_epoch = mem.image_epoch if mem.kernel_ready else None
         raw_bytes = sum(len(body) for body in corpus.rules) * 4
 
         info_off = pool.alloc_region(_INFO_REGION, _INFO.size)
@@ -210,36 +223,34 @@ class PrunedDag:
             # which needs device state committed after every rule.
             entry_top = dag_off
             raw_top = raw_off
-            entry_blob = bytearray()
-            raw_blob = bytearray()
+            flat: list[int] = []
             meta_blob = bytearray()
             for rule in range(n_rules):
-                info = pruned[rule]
+                subs = subs_of[rule]
+                words = words_of[rule]
                 body = corpus.rules[rule]
-                flat: list[int] = []
-                for idx, freq in info.subrules:
-                    flat.extend((idx, freq))
-                for word, freq in info.words:
-                    flat.extend((word, freq))
-                entry_blob += struct.pack("<%dI" % len(flat), *flat)
-                raw_blob += struct.pack("<%dI" % len(body), *body)
-                meta_blob += _META.pack(
+                flat.extend(chain.from_iterable(subs))
+                flat.extend(chain.from_iterable(words))
+                fields = (
                     entry_top,
                     raw_top,
-                    len(info.subrules),
-                    len(info.words),
+                    len(subs),
+                    len(words),
                     len(body),
                     dag.in_degree[rule],
                     dag.out_degree[rule],
                     bounds[rule] if bounds is not None else 0,
-                    0,  # weight
                 )
-                entry_top += len(flat) * 4
+                meta_blob += _META.pack(*fields, 0)  # weight 0
+                rows[rule] = (
+                    meta_off + rule * META_RECORD_SIZE, entry_top, subs, words, fields
+                )
+                entry_top += (len(subs) + len(words)) * 8
                 raw_top += len(body) * 4
-            if entry_blob:
-                mem.write(dag_off, entry_blob)
-            if raw_blob:
-                mem.write(raw_off, raw_blob)
+            if flat:
+                mem.write(dag_off, pack_values(flat, 4))
+            if raw_top > raw_off:
+                mem.write(raw_off, pack_values(chain.from_iterable(corpus.rules), 4))
             mem.write(meta_off, meta_blob)
         else:
             # Algorithm 1's pool_top pointers for the two write streams.
@@ -247,13 +258,14 @@ class PrunedDag:
                 entry_top = dag_off
                 raw_top = raw_off
             for rule in range(n_rules):
-                info = pruned[rule]
+                subs = subs_of[rule]
+                words = words_of[rule]
                 body = corpus.rules[rule]
                 # Write pruned entries: subrules first, then words (adjacent).
                 flat = []
-                for idx, freq in info.subrules:
+                for idx, freq in subs:
                     flat.extend((idx, freq))
-                for word, freq in info.words:
+                for word, freq in words:
                     flat.extend((word, freq))
                 if per_rule:
                     entry_top = pool.allocator.alloc(max(len(flat) * 4, 4))
@@ -261,23 +273,25 @@ class PrunedDag:
                 layout.write_u32_array(mem, entry_top, flat)
                 # Ordered body for sequence analytics.
                 layout.write_u32_array(mem, raw_top, body)
-                record = _META.pack(
+                fields = (
                     entry_top,
                     raw_top,
-                    len(info.subrules),
-                    len(info.words),
+                    len(subs),
+                    len(words),
                     len(body),
                     dag.in_degree[rule],
                     dag.out_degree[rule],
                     bounds[rule] if bounds is not None else 0,
-                    0,  # weight
                 )
+                record = _META.pack(*fields, 0)  # weight 0
                 if per_rule:
                     record_off = pool.allocator.alloc(META_RECORD_SIZE)
                     mem.write(record_off, record)
                     layout.write_u64(mem, meta_off + rule * 8, record_off)
                 else:
-                    mem.write(meta_off + rule * META_RECORD_SIZE, record)
+                    record_off = meta_off + rule * META_RECORD_SIZE
+                    mem.write(record_off, record)
+                    rows[rule] = (record_off, entry_top, subs, words, fields)
                     entry_top += len(flat) * 4
                     raw_top += len(body) * 4
                 if on_rule is not None:
@@ -293,12 +307,76 @@ class PrunedDag:
             )
             for rule in range(n_rules):
                 store.set(rule, heads[rule], tails[rule])
-        return cls(pool)
+        built = cls(pool)
+        if not per_rule and mem.image_epoch == ready_epoch and built._revalidate():
+            # The rows are exactly the bytes just written.
+            built._rows = rows
+        return built
 
     @classmethod
     def attach(cls, pool: NvmPool) -> "PrunedDag":
         """Reopen a pruned DAG from a pool whose directory is loaded."""
         return cls(pool)
+
+    # ------------------------------------------------------------------
+    # Host decode cache
+    # ------------------------------------------------------------------
+
+    def _row(self, rule: int):
+        """``rule``'s cached ``(record_off, entry_off, subrules, words,
+        fields)``, or ``None`` when this access must read the device.
+
+        Callers still charge every span they would have read.
+        """
+        if self._epoch != self._mem.image_epoch and not self._revalidate():
+            return None
+        if not 0 <= rule < self.n_rules:
+            raise IndexError(f"rule {rule} out of range [0, {self.n_rules})")
+        row = self._rows[rule]
+        if row is None:
+            row = self._rows[rule] = dagops.decode_rule(
+                self._mem, _META, self._meta_off + rule * META_RECORD_SIZE
+            )
+        return row
+
+    def _revalidate(self) -> bool:
+        """Empty the cache for the current epoch if it may serve at all.
+
+        The cache serves only while ``mem.kernel_ready`` holds (no fault
+        plan, trace recorder or integrity mirror, not a reference
+        memory).  The memory bumps ``image_epoch`` whenever that stops
+        holding or its image changes outside the charged write path, so
+        an unchanged epoch proves the cache current.
+        """
+        mem = self._mem
+        if self.indexed_layout or not mem.kernel_ready:
+            return False
+        self._rows = [None] * self.n_rules
+        self._bodies = {}
+        self._sweep = None
+        self._epoch = mem.image_epoch
+        return True
+
+    def hoisted_sweep(self, topo_order: list[int], weights: list[int]) -> bool:
+        """Run :func:`~repro.core.traversal.full_sweep_weights_for_segment`'s
+        rule loop as :func:`repro.kernels.dagops.full_sweep`.
+
+        Returns ``False``, having charged nothing, when the loop must run
+        through the accessors instead (the indexed layout, or a memory
+        that is not ``kernel_ready``).
+        """
+        if self._epoch != self._mem.image_epoch and not self._revalidate():
+            return False
+        plan = self._sweep
+        if plan is None:
+            rows = [self._row(rule) for rule in range(self.n_rules)]
+            if None in rows:
+                return False
+            plan = self._sweep = dagops.sweep_plan(
+                rows, self._mem.profile.line_size, META_RECORD_SIZE
+            )
+        dagops.full_sweep(self._mem, plan, topo_order, weights, META_RECORD_SIZE)
+        return True
 
     # ------------------------------------------------------------------
     # Metadata access
@@ -314,9 +392,15 @@ class PrunedDag:
     def meta(self, rule: int) -> tuple[int, int, int, int, int, int, int, int, int]:
         """Raw metadata record: (entry_off, raw_off, n_sub, n_words,
         raw_len, in_deg, out_deg, bound, weight)."""
-        self._check(rule)
-        raw = self._mem.read(self._record_offset(rule), META_RECORD_SIZE)
-        return _META.unpack(raw)
+        row = self._row(rule)
+        if row is None:
+            self._check(rule)
+            raw = self._mem.read(self._record_offset(rule), META_RECORD_SIZE)
+            return _META.unpack(raw)
+        record_off = row[0]
+        mem = self._mem
+        mem.charge_read(record_off, META_RECORD_SIZE)
+        return row[4] + (dagops.read_u64(mem, record_off + 40),)
 
     def bound(self, rule: int) -> int:
         """The Algorithm-2 upper bound stored for ``rule``."""
@@ -395,61 +479,98 @@ class PrunedDag:
 
     # ------------------------------------------------------------------
     # Entry access
+    #
+    # Each accessor charges the 48-byte record, then the entry span it
+    # returns (none when empty), and returns tuples.  On the cached path
+    # the charges go through ``charge_read`` and the values come from
+    # the host cache; the weight is read uncharged after its record.
     # ------------------------------------------------------------------
 
-    def subrules(self, rule: int) -> list[tuple[int, int]]:
+    def _read_pairs(self, offset: int, count: int) -> tuple[tuple[int, int], ...]:
+        """``count`` device ``(u32, u32)`` pairs at ``offset`` (one read)."""
+        flat = layout.read_u32_array(self._mem, offset, count * 2)
+        return tuple(zip(flat[0::2], flat[1::2]))
+
+    def subrules(self, rule: int) -> tuple[tuple[int, int], ...]:
         """Pruned ``(subrule index, frequency)`` pairs of ``rule``."""
-        entry_off, _, n_sub, _, _, _, _, _, _ = self.meta(rule)
-        flat = layout.read_u32_array(self._mem, entry_off, n_sub * 2)
-        return list(zip(flat[0::2], flat[1::2]))
+        return self.weight_and_subrules(rule)[1]
 
-    def words(self, rule: int) -> list[tuple[int, int]]:
+    def words(self, rule: int) -> tuple[tuple[int, int], ...]:
         """Pruned ``(word id, frequency)`` pairs of ``rule``."""
-        entry_off, _, n_sub, n_words, _, _, _, _, _ = self.meta(rule)
-        flat = layout.read_u32_array(
-            self._mem, entry_off + n_sub * 8, n_words * 2
-        )
-        return list(zip(flat[0::2], flat[1::2]))
+        return self.weight_and_words(rule)[1]
 
-    def entries(self, rule: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    def entries(
+        self, rule: int
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """Both entry lists with a single contiguous device read."""
-        entry_off, _, n_sub, n_words, _, _, _, _, _ = self.meta(rule)
-        flat = layout.read_u32_array(self._mem, entry_off, (n_sub + n_words) * 2)
-        pairs = list(zip(flat[0::2], flat[1::2]))
-        return pairs[:n_sub], pairs[n_sub:]
+        return self.bound_and_entries(rule)[1:]
 
-    def weight_and_subrules(self, rule: int) -> tuple[int, list[tuple[int, int]]]:
+    def weight_and_subrules(self, rule: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """``(weight, subrules)`` from one metadata record read.
 
         The weight field lives in the same 48-byte record as the entry
         pointers, so traversals that need both pay a single record read
         instead of two.
         """
-        entry_off, _, n_sub, _, _, _, _, _, weight = self.meta(rule)
-        flat = layout.read_u32_array(self._mem, entry_off, n_sub * 2)
-        return weight, list(zip(flat[0::2], flat[1::2]))
+        row = self._row(rule)
+        if row is None:
+            entry_off, _, n_sub, _, _, _, _, _, weight = self.meta(rule)
+            return weight, self._read_pairs(entry_off, n_sub)
+        record_off, entry_off, subs, _, _ = row
+        mem = self._mem
+        mem.charge_read(record_off, META_RECORD_SIZE)
+        if subs:
+            mem.charge_read(entry_off, len(subs) * 8)
+        return dagops.read_u64(mem, record_off + 40), subs
 
-    def weight_and_words(self, rule: int) -> tuple[int, list[tuple[int, int]]]:
+    def weight_and_words(self, rule: int) -> tuple[int, tuple[tuple[int, int], ...]]:
         """``(weight, words)`` from one metadata record read."""
-        entry_off, _, n_sub, n_words, _, _, _, _, weight = self.meta(rule)
-        flat = layout.read_u32_array(
-            self._mem, entry_off + n_sub * 8, n_words * 2
-        )
-        return weight, list(zip(flat[0::2], flat[1::2]))
+        row = self._row(rule)
+        if row is None:
+            entry_off, _, n_sub, n_words, _, _, _, _, weight = self.meta(rule)
+            return weight, self._read_pairs(entry_off + n_sub * 8, n_words)
+        record_off, entry_off, subs, words, _ = row
+        mem = self._mem
+        mem.charge_read(record_off, META_RECORD_SIZE)
+        if words:
+            mem.charge_read(entry_off + len(subs) * 8, len(words) * 8)
+        return dagops.read_u64(mem, record_off + 40), words
 
     def bound_and_entries(
         self, rule: int
-    ) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
+    ) -> tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """``(bound, subrules, words)`` from one metadata record read."""
-        entry_off, _, n_sub, n_words, _, _, _, bound, _ = self.meta(rule)
-        flat = layout.read_u32_array(self._mem, entry_off, (n_sub + n_words) * 2)
-        pairs = list(zip(flat[0::2], flat[1::2]))
-        return bound, pairs[:n_sub], pairs[n_sub:]
+        row = self._row(rule)
+        if row is None:
+            entry_off, _, n_sub, n_words, _, _, _, bound, _ = self.meta(rule)
+            pairs = self._read_pairs(entry_off, n_sub + n_words)
+            return bound, pairs[:n_sub], pairs[n_sub:]
+        record_off, entry_off, subs, words, fields = row
+        charge = self._mem.charge_read
+        charge(record_off, META_RECORD_SIZE)
+        if subs or words:
+            charge(entry_off, (len(subs) + len(words)) * 8)
+        return fields[7], subs, words
 
     def raw_body(self, rule: int) -> list[int]:
         """The ordered (unpruned) body of ``rule``."""
-        _, raw_off, _, _, raw_len, _, _, _, _ = self.meta(rule)
-        return layout.read_u32_array(self._mem, raw_off, raw_len)
+        row = self._row(rule)
+        if row is None:
+            _, raw_off, _, _, raw_len, _, _, _, _ = self.meta(rule)
+            return layout.read_u32_array(self._mem, raw_off, raw_len)
+        mem = self._mem
+        mem.charge_read(row[0], META_RECORD_SIZE)
+        _, raw_off, _, _, raw_len, _, _, _ = row[4]
+        if not raw_len:
+            return []
+        body = self._bodies.get(rule)
+        if body is None:
+            body = dagops.decode_u32s(mem, raw_off, raw_len)
+            if body is None:
+                return layout.read_u32_array(mem, raw_off, raw_len)
+            self._bodies[rule] = body
+        mem.charge_read(raw_off, raw_len * 4)
+        return list(body)
 
     def _check(self, rule: int) -> None:
         if not 0 <= rule < self.n_rules:

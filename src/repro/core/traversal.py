@@ -140,6 +140,10 @@ def full_sweep_weights_for_segment(
     every rule whether or not the file references it, so per-file cost is
     O(|DAG|) and total cost is O(files x |DAG|) -- the behaviour that is
     ~1000x slower than bottom-up on many-file datasets (Section VI-E).
+
+    The rule loop below is the charging spec; while the DAG's host cache
+    can serve, :meth:`PrunedDag.hoisted_sweep` runs it hoisted with the
+    same charges.
     """
     clock = pruned.pool.memory.clock
     weights = [0] * pruned.n_rules
@@ -147,6 +151,8 @@ def full_sweep_weights_for_segment(
         if is_rule_ref(symbol):
             weights[rule_index(symbol)] += 1
             clock.cpu(1)
+    if pruned.hoisted_sweep(topo_order, weights):
+        return {rule: w for rule, w in enumerate(weights) if w}
     for rule in topo_order:
         weight = weights[rule]
         # The faithful sweep reads every rule's entries regardless of weight.

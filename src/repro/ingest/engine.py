@@ -39,6 +39,7 @@ own -- the durability boundaries of this layer are the mutations.
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -446,8 +447,11 @@ class SegmentedEngine:
         )
         total_ns = clock.ns
         rendered: dict[str, Any] = {}
+        # The baseline runs on clocks of its own; the engine's tracer
+        # would file its phases among this engine's roots.
+        config = dataclasses.replace(self.config, tracer=None)
         for name in task_names:
-            run = NTadocEngine(corpus, self.config).run(task_by_name(name))
+            run = NTadocEngine(corpus, config).run(task_by_name(name))
             rendered[name] = render_result(
                 name, run.result, corpus.vocab, corpus.file_names, run.ngram_names
             )

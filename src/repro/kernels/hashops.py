@@ -20,9 +20,10 @@ The caller guarantees (see ``PHashTable._kernel_ok``):
   greater than 8, so every 8-byte field access stays within one device
   line and is never a whole-line write.
 
-``probe_batch`` is one of the two hoisted hot loops (with
-``SimulatedMemory.rmw_add_each``) that copy the single-line rules of
-``SimulatedMemory.read`` / ``write`` instead of calling them: a probe
+``probe_batch`` is one of the hoisted hot loops (with
+``SimulatedMemory.rmw_add_each`` and ``dagops.full_sweep``) that copy the
+single-line rules of ``SimulatedMemory.charge_read`` / ``write`` instead
+of calling them: a probe
 costs a handful of one-line field accesses, and the call chain per
 access would cost more wall-clock than the whole charge.  Keep its
 charge blocks in lockstep with ``repro/nvm/memory.py``; the Hypothesis
@@ -104,23 +105,23 @@ def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = 512):
     Charge-identical to the scalar ``PHashTable.items`` scan: per chunk,
     one bulk status read, and -- only when the chunk holds occupied
     slots -- one bulk key read and one bulk value read, each charged by
-    :func:`charge_read`.  Charges land before each ``yield``, so a
-    partial drain leaves the same simulator state as a partial drain of
-    the scalar generator.  Data moves through the cached zero-copy views
-    instead of ``mem.read`` copies.
+    ``SimulatedMemory.charge_read``.  Charges land before each
+    ``yield``, so a partial drain leaves the same simulator state as a
+    partial drain of the scalar generator.  Data moves through the
+    cached zero-copy views instead of ``mem.read`` copies.
     """
-    mem = kern.mem
+    charge_read = kern.mem.charge_read
     st_mv, k_mv, v_mv = table_views(kern, data_offset, capacity)
     key_base = data_offset + capacity
     value_base = data_offset + capacity * 9
     for start in range(0, capacity, chunk):
         n = min(chunk, capacity - start)
-        charge_read(mem, data_offset + start, n)
+        charge_read(data_offset + start, n)
         statuses = bytes(st_mv[start : start + n])
         if _OCCUPIED not in statuses:
             continue
-        charge_read(mem, key_base + start * 8, n * 8)
-        charge_read(mem, value_base + start * 8, n * 8)
+        charge_read(key_base + start * 8, n * 8)
+        charge_read(value_base + start * 8, n * 8)
         keys = []
         vals = []
         append_k = keys.append
@@ -132,18 +133,6 @@ def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = 512):
             append_v(v_mv[start + i])
             i = find(1, i + 1)
         yield keys, vals
-
-
-def charge_read(mem, offset: int, size: int) -> None:
-    """Charge ``mem.read(offset, size)`` without moving the bytes.
-
-    The memory's span rule plus the read-op accounting; only valid while
-    ``mem.kernel_ready`` (no fault hooks or seal checks to run).
-    """
-    mem._touch_batch(offset, size, False)
-    stats = mem.stats
-    stats.read_ops += 1
-    stats.bytes_read += size
 
 
 def probe_batch(

@@ -92,13 +92,13 @@ class PhaseTimeline:
         """Total simulated time across all phases with this name."""
         return sum(ns for phase, ns in self.items() if phase == name)
 
-    def total_sim_ns(self) -> float:
-        """Total simulated time across all recorded phases."""
-        return sum(record.sim_ns for record in self.records)
+    def total_sim_ns(self, start: int = 0) -> float:
+        """Total simulated time across the recorded phases from ``start`` on."""
+        return sum(record.sim_ns for record in self.records[start:])
 
-    def as_dict(self) -> dict[str, float]:
-        """Phase name -> simulated ns (summed over repeats)."""
+    def as_dict(self, start: int = 0) -> dict[str, float]:
+        """Phase name -> simulated ns (summed over repeats) from ``start`` on."""
         out: dict[str, float] = {}
-        for phase, ns in self.items():
+        for phase, ns in self.items(start):
             out[phase] = out.get(phase, 0.0) + ns
         return out

@@ -148,6 +148,15 @@ class SimulatedMemory:
         #: directory's ping-pong arenas) compare epochs to know whether a
         #: span written earlier has since reached media.
         self.flush_epoch = 0
+        #: Bumped whenever the image may change outside the charged
+        #: write path (:meth:`crash`, :meth:`poke` outside the flight
+        #: recorder's window, :meth:`attach_file`) and whenever
+        #: :attr:`kernel_ready` goes False (:meth:`arm_faults`,
+        #: :meth:`attach_integrity`, a trace recording).  Host-side
+        #: decode caches of sealed regions (``PrunedDag``) serve only
+        #: while it holds the value they were filled under, so they never
+        #: return bytes the device no longer holds.
+        self.image_epoch = 0
         self._reference = reference
         self._touch_span = self._touch if reference else self._touch_batch
         #: Per-line media program counts (endurance accounting); only
@@ -182,11 +191,36 @@ class SimulatedMemory:
     def read(self, offset: int, size: int) -> bytes:
         """Read ``size`` bytes at ``offset``, charging device cost.
 
+        :meth:`charge_read` charges the span; this adds the bytes, the
+        fault-plan hooks and seal verification.
+        """
+        self.charge_read(offset, size)
+        end = offset + size
+        data = self._buf[offset:end]
+        plan = self._fault_plan
+        if plan is not None:
+            plan.reads += 1
+            if plan.on_read is not None:
+                plan.on_read(self, offset, size)
+            if plan.has_pending_corruption:
+                data = self._corrupt_read(offset, data)
+            if plan.media_faults:
+                data = self._media_read(offset, data)
+        if self._integrity_seals is not None and size:
+            self._verify_window(offset, data)
+        return data
+
+    def charge_read(self, offset: int, size: int) -> None:
+        """Charge ``read(offset, size)`` without moving the bytes.
+
         This is the one place the single-line read rule is written: the
         line is an LRU hit (1 ns) or a fetch miss (sequential when it
         continues the previous miss) that may evict a dirty victim.
         Multi-line spans are charged by :meth:`_touch_batch`, and every
-        access by :meth:`_touch` under ``reference=True``.
+        access by :meth:`_touch` under ``reference=True``.  Called alone
+        it skips the fault hooks and seal checks of :meth:`read`, so
+        callers that serve the bytes themselves do so only while
+        :attr:`kernel_ready`.
         """
         end = offset + size
         if offset < 0 or size < 0 or end > self.size:
@@ -230,19 +264,6 @@ class SimulatedMemory:
             self.clock.ns += total
         stats.read_ops += 1
         stats.bytes_read += size
-        data = self._buf[offset:end]
-        plan = self._fault_plan
-        if plan is not None:
-            plan.reads += 1
-            if plan.on_read is not None:
-                plan.on_read(self, offset, size)
-            if plan.has_pending_corruption:
-                data = self._corrupt_read(offset, data)
-            if plan.media_faults:
-                data = self._media_read(offset, data)
-        if self._integrity_seals is not None and size:
-            self._verify_window(offset, data)
-        return data
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> None:
         """Write ``data`` at ``offset``, charging device cost.
@@ -372,9 +393,10 @@ class SimulatedMemory:
 
         Accounting is identical to issuing the calls one by one, which
         is what happens unless :attr:`kernel_ready`.  Otherwise this is
-        one of the two hoisted hot loops (with
-        :func:`repro.kernels.hashops.probe_batch`) that copy the
-        single-line rules of :meth:`read` and :meth:`write` instead of
+        one of the hoisted hot loops (with
+        :func:`repro.kernels.hashops.probe_batch` and
+        :func:`repro.kernels.dagops.full_sweep`) that copy the
+        single-line rules of :meth:`charge_read` and :meth:`write` instead of
         calling them: scattered counter updates are the per-token hot
         loop of the analytics baselines, and the call chain per element
         costs more wall-clock than the charge itself.  The copy is held
@@ -699,6 +721,7 @@ class SimulatedMemory:
         self._dirty_lines.clear()
         self._evict_programmed.clear()
         self._last_media_line = None
+        self.image_epoch += 1
 
     def attach_file(self, path: str | Path, load: bool = False) -> None:
         """Attach a backing file that receives the image on every flush.
@@ -717,6 +740,7 @@ class SimulatedMemory:
                 )
             self._buf[: len(image)] = image
             self._flushed_image = bytearray(self._buf)
+            self.image_epoch += 1
 
     @property
     def dirty_line_count(self) -> int:
@@ -743,6 +767,7 @@ class SimulatedMemory:
         sites the plan carries.  Arming replaces a previous plan.
         """
         self._fault_plan = plan
+        self.image_epoch += 1
 
     def disarm_faults(self) -> None:
         """Detach the fault plan; subsequent accesses run clean."""
@@ -811,6 +836,7 @@ class SimulatedMemory:
         """
         self._integrity_seals = seals
         self._integrity_exclude = exclude
+        self.image_epoch += 1
 
     def detach_integrity(self) -> None:
         """Detach the CRC mirror; subsequent reads skip verification."""
@@ -911,8 +937,15 @@ class SimulatedMemory:
 
     def poke(self, offset: int, data: bytes) -> None:
         """Write without charging cost.  For tests and image loading."""
+        end = offset + len(data)
         self._check_range(offset, len(data))
-        self._buf[offset : offset + len(data)] = data
+        self._buf[offset:end] = data
+        recorder = self._flightrec
+        if recorder is None or not (
+            recorder.window[0] <= offset and end <= recorder.window[1]
+        ):
+            # The flight recorder's own window holds nothing else.
+            self.image_epoch += 1
 
     # ------------------------------------------------------------------
     # Internals
@@ -947,7 +980,7 @@ class SimulatedMemory:
         """Per-line reference cost model: cache each line, charge the clock.
 
         This is the executable specification the fast path (the
-        single-line rules in :meth:`read`/:meth:`write`, the span rule in
+        single-line rules in :meth:`charge_read`/:meth:`write`, the span rule in
         :meth:`_touch_batch`, and the hoisted loops) must reproduce
         bit-for-bit; ``reference=True`` selects it so the differential
         suites can replay traces through both.

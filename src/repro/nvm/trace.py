@@ -141,6 +141,7 @@ def record_trace(memory: SimulatedMemory) -> Iterator[AccessTrace]:
     # access flows through the trace.
     was_recording = memory._recording
     memory._recording = True
+    memory.image_epoch += 1  # host decode caches stand down too
     try:
         yield trace
     finally:

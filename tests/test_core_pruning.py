@@ -77,8 +77,8 @@ class TestPrunedDag:
         pruned = self.build(corpus)
         for rule in range(corpus.n_rules):
             expected = prune_rule(corpus.rules[rule])
-            assert pruned.subrules(rule) == expected.subrules
-            assert pruned.words(rule) == expected.words
+            assert pruned.subrules(rule) == tuple(expected.subrules)
+            assert pruned.words(rule) == tuple(expected.words)
 
     def test_entries_combined_read(self):
         corpus = self.corpus()
@@ -178,8 +178,8 @@ class TestNaiveLayout:
         assert pruned.indexed_layout
         for rule in range(corpus.n_rules):
             expected = prune_rule(corpus.rules[rule])
-            assert pruned.subrules(rule) == expected.subrules
-            assert pruned.words(rule) == expected.words
+            assert pruned.subrules(rule) == tuple(expected.subrules)
+            assert pruned.words(rule) == tuple(expected.words)
             assert pruned.raw_body(rule) == corpus.rules[rule]
 
     def test_scattered_layout_costs_more_to_traverse(self):

@@ -207,6 +207,30 @@ class TestRunManyResilient:
         # clean-media reads; damage the last one.
         self._damage_siblings(corpus, "auto", lambda reads: len(reads) - 1)
 
+    def test_sibling_shares_partition_the_plan(self, corpus):
+        """After a recovery each sibling reports its own re-run, so the
+        interrupted attempt, the recovery phase and the sibling shares
+        add up to the plan total exactly."""
+        engine = protected_engine(corpus)
+        tasks = [task_by_name(n) for n in self.TASKS]
+        trace = _ReadTrace()
+        counter = FaultPlan()
+        counter.on_read = trace
+        engine.run_many(tasks, fault_plan=counter)
+        fplan = FaultPlan(media_faults=[fault_at(trace, index=0)])
+        out = engine.run_many(tasks, fault_plan=fplan)
+        assert not out.failures and len(out.results) == len(self.TASKS)
+        records = engine.last_state.timeline.records
+        names = [record.name for record in records]
+        cut = names.index("phase:recovery")
+        attempt = sum(record.sim_ns for record in records[:cut])
+        recovery = records[cut].sim_ns
+        shares = [run.total_ns for run in out.results]
+        assert attempt + recovery + sum(shares) == out.total_ns
+        for run in out.results:
+            assert sum(run.phase_ns.values()) == run.total_ns
+            assert 0 < run.total_ns < out.total_ns - attempt - recovery
+
     def test_empty_task_list_rejected(self, corpus):
         engine = protected_engine(corpus)
         with pytest.raises(ValueError):

@@ -93,9 +93,8 @@ def test_tracing_changes_nothing_charged(metrics):
 
 
 def test_shared_tracer_reads_the_running_engine():
-    """``recompress_baseline`` runs a plain engine on its own clock with
-    the same tracer; the segmented engine's next spans must read the
-    segmented clock again, not the baseline's."""
+    """``recompress_baseline`` runs a plain engine on its own clock; the
+    segmented engine's next spans must read the segmented clock."""
     tracer, engine = _traced()
     engine.recompress_baseline(TRIO)
     first = len(tracer.roots)
@@ -103,3 +102,14 @@ def test_shared_tracer_reads_the_running_engine():
     engine.compact()
     (root,) = tracer.roots[first:]
     assert root.sim_ns == engine.clock.ns - start > 0
+
+
+def test_baseline_adds_nothing_to_the_engine_trace():
+    """The recompress baseline runs on clocks of its own, so none of its
+    spans may land among the engine's roots or in ``total_sim_ns``."""
+    tracer, engine = _traced()
+    engine.run_tasks(TRIO)
+    roots, total = len(tracer.roots), tracer.total_sim_ns()
+    engine.recompress_baseline(TRIO)
+    assert len(tracer.roots) == roots
+    assert tracer.total_sim_ns() == total

@@ -8,8 +8,10 @@ tolerances) whether a workload runs on a reference memory
 or on the default fast memory with its kernels.  This suite holds that
 promise three ways:
 
-* property-based op programs over the persistent containers, replayed
-  against one memory per mode and compared snapshot-for-snapshot,
+* property-based op programs over the persistent containers and over
+  the pruned DAG's host decode cache (pokes, crashes and armed read
+  corruption included), replayed against one memory per mode and
+  compared snapshot-for-snapshot,
 * an engine-level fused trio run compared across every mode,
 * the crash-sweep harness run with kernels on and off, whose reports
   (recovery costs included) must render identically.
@@ -17,6 +19,7 @@ promise three ways:
 
 from __future__ import annotations
 
+import struct
 from itertools import islice
 
 import pytest
@@ -26,12 +29,18 @@ from hypothesis import strategies as st
 from repro.analytics.inverted_index import InvertedIndex
 from repro.analytics.term_vector import TermVector
 from repro.analytics.word_count import WordCount
+from repro.core.dag import Dag
 from repro.core.engine import EngineConfig, NTadocEngine
+from repro.core.pruning import META_RECORD_SIZE, PrunedDag
+from repro.core.summation import summate_all
+from repro.core.traversal import full_sweep_weights_for_segment
 from repro.errors import CapacityError
 from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
+from repro.nvm.faults import FaultPlan, ReadCorruption
 from repro.nvm.memory import SimulatedMemory
+from repro.nvm.pool import NvmPool
 from repro.pstruct.phashtable import PHashTable
 from repro.pstruct.pqueue import PQueue
 from repro.pstruct.pvector import PVector
@@ -180,6 +189,146 @@ class TestContainerDifferential:
     def test_vector_and_queue_replay_identically(self, values, elem_size):
         reference = _run_container_program(True, values, elem_size)
         assert _run_container_program(False, values, elem_size) == reference
+
+
+# -- pruned DAG decode cache and the hoisted sweep ----------------------------
+
+_DAG_FILES = [
+    (f"doc{i}", " ".join(f"w{(i * 7 + j * j) % 23}" for j in range(60)))
+    for i in range(6)
+]
+_ACCESSORS = (
+    "meta",
+    "subrules",
+    "words",
+    "entries",
+    "bound_and_entries",
+    "weight_and_subrules",
+    "weight_and_words",
+    "raw_body",
+)
+#: Rule / pair / file picks (reduced modulo the real counts).  Small, so
+#: programs often revisit what they poked; 7 as an accessor's rule
+#: probes the range check instead.
+_PICK = st.integers(min_value=0, max_value=7)
+_DAG_OP = st.one_of(
+    st.tuples(st.sampled_from(_ACCESSORS), _PICK),
+    st.tuples(st.just("read_all"), st.just(None)),
+    st.tuples(
+        st.just("add_weight_many"),
+        st.lists(st.tuples(_PICK, st.integers(min_value=0, max_value=50)), max_size=12),
+    ),
+    st.tuples(st.just("reset_weights"), st.just(None)),
+    st.tuples(st.just("sweep"), _PICK),
+    st.tuples(st.just("poke"), st.tuples(_PICK, _PICK, st.integers(100, 109))),
+    st.tuples(st.just("crash"), st.just(None)),
+    st.tuples(st.just("arm"), st.tuples(_PICK, _PICK)),
+    st.tuples(st.just("disarm"), st.just(None)),
+)
+
+
+def _build_dag(reference: bool, profile, cache_bytes: int):
+    corpus = compress_files(_DAG_FILES)
+    dag = Dag(corpus)
+    mem = SimulatedMemory(
+        profile, 1 << 20, cache_bytes=cache_bytes, reference=reference
+    )
+    pool = NvmPool(mem)
+    pruned = PrunedDag.build(pool, corpus, dag, bounds=summate_all(dag))
+    pool.flush()
+    return corpus, dag, mem, pruned
+
+
+def _freq_offset(mem, pruned, rule_arg: int, pair_arg: int) -> int | None:
+    """Device offset of one entry's frequency field (ids stay valid)."""
+    rule = rule_arg % pruned.n_rules
+    record = mem.peek(pruned._meta_off + rule * META_RECORD_SIZE, META_RECORD_SIZE)
+    entry_off, _, n_sub, n_words = struct.unpack_from("<QQII", record)
+    if not n_sub + n_words:
+        return None
+    return entry_off + (pair_arg % (n_sub + n_words)) * 8 + 4
+
+
+def _run_dag_program(reference: bool, profile, cache_bytes: int, ops) -> tuple:
+    corpus, dag, mem, pruned = _build_dag(reference, profile, cache_bytes)
+    topo = dag.topological_order()
+    root = corpus.rules[0]
+    segments = [root[a:b] for a, b in corpus.file_segments()]
+    n = pruned.n_rules
+    observed: list = []
+    for name, arg in ops:
+        if name in _ACCESSORS:
+            rule = n if arg == 7 else arg % n
+            try:
+                observed.append(getattr(pruned, name)(rule))
+            except IndexError as exc:
+                observed.append(("IndexError", str(exc)))
+        elif name == "read_all":
+            observed.append([pruned.bound_and_entries(rule) for rule in range(n)])
+            observed.append([pruned.meta(rule) for rule in range(n)])
+        elif name == "add_weight_many":
+            pruned.add_weight_many([(rule % n, delta) for rule, delta in arg])
+        elif name == "reset_weights":
+            pruned.reset_weights()
+        elif name == "sweep":
+            segment = segments[arg % len(segments)]
+            observed.append(full_sweep_weights_for_segment(pruned, segment, topo))
+        elif name == "poke":
+            offset = _freq_offset(mem, pruned, arg[0], arg[1])
+            if offset is not None:
+                mem.poke(offset, arg[2].to_bytes(4, "little"))
+        elif name == "crash":
+            mem.crash()
+        elif name == "arm":
+            offset = _freq_offset(mem, pruned, *arg)
+            sites = [] if offset is None else [ReadCorruption(offset, b"\x01")]
+            mem.arm_faults(FaultPlan(corruptions=sites))
+        elif name == "disarm":
+            mem.disarm_faults()
+        observed.append(mem.clock.ns)
+    return snapshot(mem), observed
+
+
+class TestPrunedDagCacheDifferential:
+    """The host decode cache and the hoisted sweep against the device path.
+
+    A fast memory serves accessors from the cache and runs the sweep
+    hoisted; a reference memory reads every byte.  Pokes, crashes and
+    armed read corruptions change the image underneath the cache, which
+    must stand down or drop itself so that values and charges stay
+    ``==``.
+    """
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        ops=st.lists(_DAG_OP, max_size=30),
+        profile=st.sampled_from([DeviceProfile.nvm(), DeviceProfile.dram()]),
+        cache_bytes=st.sampled_from([512, 2048, 1 << 20]),
+    )
+    def test_programs_replay_identically(self, ops, profile, cache_bytes):
+        reference = _run_dag_program(True, profile, cache_bytes, ops)
+        assert _run_dag_program(False, profile, cache_bytes, ops) == reference
+
+    def test_poke_into_warm_cache_is_seen(self):
+        _, _, mem, pruned = _build_dag(False, DeviceProfile.nvm(), 1 << 20)
+        rule = next(r for r in range(pruned.n_rules) if pruned.subrules(r))
+        sub, _ = pruned.subrules(rule)[0]  # warm
+        entry_off = pruned.meta(rule)[0]
+        mem.poke(entry_off + 4, (77).to_bytes(4, "little"))
+        assert pruned.subrules(rule)[0] == (sub, 77)
+
+    def test_armed_plan_stands_the_hoisted_sweep_down(self):
+        _, dag, mem, pruned = _build_dag(False, DeviceProfile.nvm(), 1 << 20)
+        topo = dag.topological_order()
+        assert pruned.hoisted_sweep(topo, [0] * pruned.n_rules)
+        mem.arm_faults(FaultPlan())
+        start = mem.clock.ns
+        assert not pruned.hoisted_sweep(topo, [0] * pruned.n_rules)
+        assert mem.clock.ns == start
 
 
 # -- engine level ----------------------------------------------------------
