@@ -34,15 +34,22 @@ def segment_word_counts(
     weights = full_sweep_weights_for_segment(
         ctx.pruned, segment, ctx.topo_order
     )
+    # One CPU op per segment symbol, then per weighted rule (id order)
+    # its words read and one CPU op per word entry; charged in closed
+    # form while the DAG's host cache holds every line read.
     file_counts: dict[int, int] = {}
     for symbol in segment:
-        ctx.clock.cpu(1)
         if is_word(symbol):
             file_counts[symbol] = file_counts.get(symbol, 0) + 1
+    if ctx.pruned.warm_word_fold(weights, len(segment), file_counts):
+        return file_counts
+    clock = ctx.clock
+    for _ in segment:
+        clock.cpu(1)
     for rule, weight in weights.items():
         for word, freq in ctx.pruned.words(rule):
             file_counts[word] = file_counts.get(word, 0) + weight * freq
-            ctx.clock.cpu(1)
+            clock.cpu(1)
     return file_counts
 
 

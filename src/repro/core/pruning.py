@@ -138,8 +138,13 @@ class PrunedDag:
         self._rows: list = []
         #: Decoded ordered bodies, by rule (filled on first use).
         self._bodies: dict[int, tuple[int, ...]] = {}
-        #: :func:`repro.kernels.dagops.sweep_plan` of the rows, once built.
-        self._sweep: list | None = None
+        #: Per rule, :func:`repro.kernels.dagops.walk_entry` of its row,
+        #: or ``None`` until a sweep or a warm walk needs it.
+        self._walk: list = []
+        #: Sweeps run under the current epoch, and the
+        #: :func:`repro.kernels.dagops.sweep_summary` built at the second.
+        self._sweeps = 0
+        self._summary: tuple | None = None
         #: ``mem.image_epoch`` the cache is current for; -1 until
         #: :meth:`_revalidate` (never, for the indexed layout).
         self._epoch = -1
@@ -353,9 +358,28 @@ class PrunedDag:
             return False
         self._rows = [None] * self.n_rules
         self._bodies = {}
-        self._sweep = None
+        self._walk = [None] * self.n_rules
+        self._sweeps = 0
+        self._summary = None
         self._epoch = mem.image_epoch
         return True
+
+    def _walk_entry(self, rule: int):
+        """Fill and return ``rule``'s walk entry (``None``: not served)."""
+        row = self._row(rule)
+        if row is None:
+            return None
+        entry = self._walk[rule] = dagops.walk_entry(
+            row, self._mem.profile.line_size, META_RECORD_SIZE
+        )
+        return entry
+
+    def _walk_table(self) -> list | None:
+        """The walk entries of the current epoch, or ``None`` when the
+        host cache cannot serve."""
+        if self._epoch != self._mem.image_epoch and not self._revalidate():
+            return None
+        return self._walk
 
     def hoisted_sweep(self, topo_order: list[int], weights: list[int]) -> bool:
         """Run :func:`~repro.core.traversal.full_sweep_weights_for_segment`'s
@@ -363,20 +387,65 @@ class PrunedDag:
 
         Returns ``False``, having charged nothing, when the loop must run
         through the accessors instead (the indexed layout, or a memory
-        that is not ``kernel_ready``).
+        that is not ``kernel_ready``).  From the second sweep under an
+        epoch on, an all-hit sweep is charged in closed form
+        (:func:`repro.kernels.dagops.warm_sweep`).  Its summary is built
+        at that second sweep, so a corpus swept once never pays for it.
         """
-        if self._epoch != self._mem.image_epoch and not self._revalidate():
+        table = self._walk_table()
+        if table is None:
             return False
-        plan = self._sweep
-        if plan is None:
-            rows = [self._row(rule) for rule in range(self.n_rules)]
-            if None in rows:
-                return False
-            plan = self._sweep = dagops.sweep_plan(
-                rows, self._mem.profile.line_size, META_RECORD_SIZE
-            )
-        dagops.full_sweep(self._mem, plan, topo_order, weights, META_RECORD_SIZE)
+        if None in table and not all(
+            self._walk_entry(rule) for rule, entry in enumerate(table) if entry is None
+        ):
+            return False
+        self._sweeps += 1
+        if self._sweeps > 1:
+            summary = self._summary
+            if summary is None or summary[0] != topo_order:
+                summary = self._summary = dagops.sweep_summary(
+                    table, topo_order, META_RECORD_SIZE
+                )
+            if dagops.warm_sweep(self._mem, table, summary, weights):
+                return True
+        dagops.full_sweep(self._mem, table, topo_order, weights, META_RECORD_SIZE)
         return True
+
+    def warm_word_fold(
+        self, weights: dict[int, int], cpu_ops: int, counts: dict[int, int]
+    ) -> bool:
+        """Run ``segment_word_counts``' word fold as
+        :func:`repro.kernels.dagops.warm_word_fold`.
+
+        ``cpu_ops`` CPU adds lead the window.  Returns ``False``, having
+        charged nothing and left ``counts`` as it was, when the fold must
+        run through :meth:`words` instead.
+        """
+        table = self._walk_table()
+        if table is None:
+            return False
+        return dagops.warm_word_fold(
+            self._mem, table, self._walk_entry, weights, cpu_ops, counts,
+            META_RECORD_SIZE,
+        )
+
+    def warm_local_weights(
+        self, seeds: dict[int, int], cpu_ops: int, topo_position
+    ) -> dict[int, int] | None:
+        """Run ``local_weights_for_segment``'s discovery and propagation as
+        :func:`repro.kernels.dagops.warm_local_weights`.
+
+        ``cpu_ops`` CPU adds lead the window.  Returns ``None``, having
+        charged nothing, when the walk must run through :meth:`subrules`
+        instead (a seed out of range included: that path raises).
+        """
+        table = self._walk_table()
+        if table is None or not all(0 <= rule < self.n_rules for rule in seeds):
+            return None
+        return dagops.warm_local_weights(
+            self._mem, table, self._walk_entry, seeds, cpu_ops, topo_position,
+            META_RECORD_SIZE,
+        )
 
     # ------------------------------------------------------------------
     # Metadata access

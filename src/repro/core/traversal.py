@@ -98,6 +98,11 @@ def local_weights_for_segment(
     down in topological order.  ``topo_position[r]`` gives r's rank in a
     global topological order (used to process touched rules in a valid
     order without sweeping the whole DAG).
+
+    The code below is the charging spec: one CPU op per rule reference,
+    the discovery reads, one CPU op per pushed entry.  While the DAG's
+    host cache holds every line it reads,
+    :meth:`PrunedDag.warm_local_weights` charges it in closed form.
     """
     clock = pruned.pool.memory.clock
     weights: dict[int, int] = {}
@@ -105,7 +110,12 @@ def local_weights_for_segment(
         if is_rule_ref(symbol):
             idx = rule_index(symbol)
             weights[idx] = weights.get(idx, 0) + 1
-            clock.cpu(1)
+    refs = sum(weights.values())
+    served = pruned.warm_local_weights(weights, refs, topo_position)
+    if served is not None:
+        return served
+    for _ in range(refs):
+        clock.cpu(1)
     # Discover the reachable subgraph, caching each rule's entries so the
     # propagation pass below does not re-read the device.
     entries: dict[int, list[tuple[int, int]]] = {}

@@ -30,6 +30,7 @@ layer's checksums and ping-pong slots are hardened against.
 
 from __future__ import annotations
 
+import math
 import mmap
 import zlib
 from pathlib import Path
@@ -41,6 +42,15 @@ from repro.kernels.core import typed_array as _typed_array
 from repro.nvm.cache import LineCache
 from repro.nvm.device import DeviceProfile
 from repro.nvm.stats import MemoryStats
+
+
+#: :meth:`SimulatedClock.advance_window` serves clocks below ``2**52``,
+#: where the grid step is at most half a nanosecond, so integer adds are
+#: exact and ``CPU_OP_NS`` rounds to a fixed step per binade.
+_WINDOW_LIMIT = float(1 << 52)
+#: Grid points per binade (``2**53``): a binade's values are
+#: ``[2**52, 2**53)`` times its grid step.
+_GRID = 1 << 53
 
 
 class SimulatedClock:
@@ -64,8 +74,43 @@ class SimulatedClock:
         self.ns += ns
 
     def cpu(self, ops: int | float) -> None:
-        """Charge ``ops`` abstract CPU operations."""
+        """Charge ``ops`` abstract CPU operations as one add of ``ops * CPU_OP_NS``."""
         self.ns += ops * self.CPU_OP_NS
+
+    def advance_window(self, int_ns: int, cpu_ops: int) -> bool:
+        """Apply a window of adds in closed form, or decline untouched.
+
+        The window is ``cpu_ops`` single ``CPU_OP_NS`` adds (``cpu(1)``
+        calls) and integer-valued adds summing to ``int_ns``, in any
+        interleaving.  With ``2**k <= ns < 2**(k+1)``, every add whose
+        result stays below ``2**(k+1)`` lands on the binade's grid of
+        ``u = 2**(k-52)``: an integer add is exact, and a ``CPU_OP_NS``
+        add rounds to the same step ``r_k`` from every grid point unless
+        ``CPU_OP_NS / u`` sits exactly halfway between two grid points.
+        So the window ends at ``ns + int_ns + cpu_ops * r_k`` whatever
+        its order, and that value is set here with ``==`` to every
+        sequential order.  Returns ``False`` with ``ns`` unchanged when
+        ``ns < 4`` or ``ns >= 2**52``, when the step is a tie, or when
+        the window would reach ``2**(k+1)``; the caller then charges the
+        adds one by one (docs/cost_model.md, "Closed-form clock
+        windows").
+        """
+        ns = self.ns
+        if not 4.0 <= ns < _WINDOW_LIMIT:
+            return False
+        mantissa, exponent = math.frexp(ns)
+        shift = 53 - exponent  # grid points per ns, as a power of two
+        num, den = float(self.CPU_OP_NS).as_integer_ratio()
+        step, rem = divmod(num << shift, den)
+        if 2 * rem == den:
+            return False
+        if 2 * rem > den:
+            step += 1
+        end = int(mantissa * _GRID) + (int_ns << shift) + cpu_ops * step
+        if end >= _GRID:
+            return False
+        self.ns = math.ldexp(end, -shift)
+        return True
 
 
 def charge_sequential_io(

@@ -9,9 +9,10 @@ or on the default fast memory with its kernels.  This suite holds that
 promise three ways:
 
 * property-based op programs over the persistent containers and over
-  the pruned DAG's host decode cache (pokes, crashes and armed read
-  corruption included), replayed against one memory per mode and
-  compared snapshot-for-snapshot,
+  the pruned DAG's host decode cache and its warm walks (pokes,
+  crashes, armed read corruption and declined clock windows included),
+  replayed against one memory per mode and compared
+  snapshot-for-snapshot,
 * an engine-level fused trio run compared across every mode,
 * the crash-sweep harness run with kernels on and off, whose reports
   (recovery costs included) must render identically.
@@ -20,22 +21,31 @@ promise three ways:
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import task_by_name
 from repro.analytics.inverted_index import InvertedIndex
+from repro.analytics.perfile import segment_word_counts
 from repro.analytics.term_vector import TermVector
 from repro.analytics.word_count import WordCount
 from repro.core.dag import Dag
 from repro.core.engine import EngineConfig, NTadocEngine
 from repro.core.pruning import META_RECORD_SIZE, PrunedDag
 from repro.core.summation import summate_all
-from repro.core.traversal import full_sweep_weights_for_segment
+from repro.core.traversal import (
+    full_sweep_weights_for_segment,
+    local_weights_for_segment,
+)
+from repro.datasets import corpus_for
 from repro.errors import CapacityError
 from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
+from repro.kernels import dagops
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
 from repro.nvm.faults import FaultPlan, ReadCorruption
@@ -220,6 +230,9 @@ _DAG_OP = st.one_of(
     ),
     st.tuples(st.just("reset_weights"), st.just(None)),
     st.tuples(st.just("sweep"), _PICK),
+    st.tuples(st.just("fold"), _PICK),
+    st.tuples(st.just("local"), _PICK),
+    st.tuples(st.just("edge"), st.integers(min_value=12, max_value=40)),
     st.tuples(st.just("poke"), st.tuples(_PICK, _PICK, st.integers(100, 109))),
     st.tuples(st.just("crash"), st.just(None)),
     st.tuples(st.just("arm"), st.tuples(_PICK, _PICK)),
@@ -249,9 +262,22 @@ def _freq_offset(mem, pruned, rule_arg: int, pair_arg: int) -> int | None:
     return entry_off + (pair_arg % (n_sub + n_words)) * 8 + 4
 
 
+#: Reads every rule, then sweeps, folds and walks every file twice, so
+#: the warm walks serve from the first op of the program on.
+_WARM_UP = [("read_all", None)] + [
+    (name, pick) for _ in range(2) for pick in range(6) for name in ("fold", "local")
+]
+
+
 def _run_dag_program(reference: bool, profile, cache_bytes: int, ops) -> tuple:
     corpus, dag, mem, pruned = _build_dag(reference, profile, cache_bytes)
     topo = dag.topological_order()
+    position = [0] * pruned.n_rules
+    for rank, rule in enumerate(topo):
+        position[rule] = rank
+    ctx = SimpleNamespace(
+        strategy="topdown", pruned=pruned, topo_order=topo, clock=mem.clock
+    )
     root = corpus.rules[0]
     segments = [root[a:b] for a, b in corpus.file_segments()]
     n = pruned.n_rules
@@ -273,6 +299,16 @@ def _run_dag_program(reference: bool, profile, cache_bytes: int, ops) -> tuple:
         elif name == "sweep":
             segment = segments[arg % len(segments)]
             observed.append(full_sweep_weights_for_segment(pruned, segment, topo))
+        elif name == "fold":
+            segment = segments[arg % len(segments)]
+            observed.append(segment_word_counts(ctx, segment))
+        elif name == "local":
+            segment = segments[arg % len(segments)]
+            observed.append(local_weights_for_segment(pruned, segment, position))
+        elif name == "edge":
+            # Just under a power of two: the next window crosses it and
+            # must decline.
+            mem.clock.ns = 2.0**arg - 5.0
         elif name == "poke":
             offset = _freq_offset(mem, pruned, arg[0], arg[1])
             if offset is not None:
@@ -313,6 +349,40 @@ class TestPrunedDagCacheDifferential:
         reference = _run_dag_program(True, profile, cache_bytes, ops)
         assert _run_dag_program(False, profile, cache_bytes, ops) == reference
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        ops=st.lists(_DAG_OP, max_size=20),
+        profile=st.sampled_from([DeviceProfile.nvm(), DeviceProfile.dram()]),
+        cache_bytes=st.sampled_from([256, 2048, 1 << 20]),
+    )
+    def test_warm_programs_replay_identically(self, ops, profile, cache_bytes):
+        """The warm walks, after a warm-up: a one-line NVM cache (256 B)
+        forces the per-access loop mid-program, and ``edge`` ops force
+        declined clock windows."""
+        ops = _WARM_UP + ops
+        reference = _run_dag_program(True, profile, cache_bytes, ops)
+        assert _run_dag_program(False, profile, cache_bytes, ops) == reference
+
+    @pytest.mark.parametrize("edge", [None, 20])
+    def test_fixed_warm_program_replays_identically(self, edge):
+        ops = _WARM_UP + [("edge", edge)] * (edge is not None) + _WARM_UP[1:]
+        for cache_bytes in (256, 1 << 20):
+            reference = _run_dag_program(True, DeviceProfile.nvm(), cache_bytes, ops)
+            got = _run_dag_program(False, DeviceProfile.nvm(), cache_bytes, ops)
+            assert got == reference
+
+    def test_poke_drops_the_sweep_summary(self):
+        _, _, _, pruned = _build_dag(False, DeviceProfile.nvm(), 1 << 20)
+        rule = next(r for r in range(pruned.n_rules) if r and pruned.subrules(r))
+        sweeps = [("sweep", pick) for _ in range(3) for pick in range(6)]
+        ops = sweeps + [("poke", (rule, 0, 107))] + sweeps
+        reference = _run_dag_program(True, DeviceProfile.nvm(), 1 << 20, ops)
+        assert _run_dag_program(False, DeviceProfile.nvm(), 1 << 20, ops) == reference
+
     def test_poke_into_warm_cache_is_seen(self):
         _, _, mem, pruned = _build_dag(False, DeviceProfile.nvm(), 1 << 20)
         rule = next(r for r in range(pruned.n_rules) if pruned.subrules(r))
@@ -329,6 +399,40 @@ class TestPrunedDagCacheDifferential:
         start = mem.clock.ns
         assert not pruned.hoisted_sweep(topo, [0] * pruned.n_rules)
         assert mem.clock.ns == start
+
+
+class TestWarmWalksEngage:
+    """On a warm D-shaped plan the three warm walks serve.
+
+    ``==`` alone cannot see a refactor that silently stops serving (the
+    per-access loop charges the same), so this counts what each walk
+    returns.
+    """
+
+    def test_topdown_plan_serves_warm(self, monkeypatch):
+        outcomes: Counter = Counter()
+        for name in ("warm_sweep", "warm_word_fold", "warm_local_weights"):
+            real = getattr(dagops, name)
+
+            def spy(*args, _real=real, _name=name):
+                result = _real(*args)
+                outcomes[_name, result is not None and result is not False] += 1
+                return result
+
+            monkeypatch.setattr(dagops, name, spy)
+        corpus = corpus_for("D", 0.2)
+        names = ("word_count", "inverted_index", "term_vector", "ranked_inverted_index")
+        tasks = [task_by_name(name) for name in names]
+        NTadocEngine(corpus, EngineConfig(traversal="topdown")).run_many(tasks)
+        files = corpus.n_files
+        assert files >= 4
+        # The first sweep runs cold (no summary yet).  A walk whose clock
+        # window straddles a power of two declines; the run's clock
+        # passes few of those, so at most one walk of each kind does.
+        assert outcomes["warm_sweep", True] >= files - 2
+        assert outcomes["warm_word_fold", True] >= files - 1
+        assert outcomes["warm_local_weights", True] >= files - 1
+        assert outcomes["warm_sweep", True] + outcomes["warm_sweep", False] == files - 1
 
 
 # -- engine level ----------------------------------------------------------

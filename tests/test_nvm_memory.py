@@ -1,6 +1,10 @@
 """Unit tests for the simulated memory, cache model, and crash semantics."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidAccessError
 from repro.nvm.cache import LineCache
@@ -30,6 +34,111 @@ class TestClock:
         clock = SimulatedClock()
         clock.cpu(100)
         assert clock.ns == pytest.approx(100 * SimulatedClock.CPU_OP_NS)
+
+
+def _sequential(ns: float, adds) -> float:
+    """``adds`` one at a time: ``None`` is a ``cpu(1)``, an int an integer charge."""
+    clock = SimulatedClock()
+    clock.ns = ns
+    for add in adds:
+        if add is None:
+            clock.cpu(1)
+        else:
+            clock.ns += float(add)
+    return clock.ns
+
+
+def _window(ns: float, adds) -> tuple[bool, float]:
+    clock = SimulatedClock()
+    clock.ns = ns
+    accepted = clock.advance_window(
+        sum(add for add in adds if add is not None),
+        sum(add is None for add in adds),
+    )
+    return accepted, clock.ns
+
+
+#: Start times across the binades, with many just below a power of two.
+_STARTS = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0**53, allow_nan=False),
+    st.builds(
+        lambda k, back: 2.0**k - back,
+        st.integers(min_value=1, max_value=53),
+        st.floats(min_value=0.0, max_value=64.0),
+    ),
+    st.builds(
+        lambda whole, frac: whole + frac * 1.2,
+        st.integers(min_value=4, max_value=1 << 40),
+        st.integers(min_value=0, max_value=9),
+    ),
+)
+_ADDS = st.lists(
+    st.one_of(st.none(), st.integers(min_value=0, max_value=600)), max_size=60
+)
+
+
+class TestClockWindow:
+    """``advance_window`` equals every sequential order of its adds, or declines."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_STARTS, _ADDS, st.randoms(use_true_random=False))
+    def test_accepted_window_equals_every_order(self, ns, adds, rng):
+        accepted, got = _window(ns, adds)
+        if not accepted:
+            assert got == ns
+            return
+        orders = [list(adds), sorted(adds, key=lambda add: add is None)]
+        for _ in range(3):
+            order = list(adds)
+            rng.shuffle(order)
+            orders.append(order)
+        for order in orders:
+            assert got == _sequential(ns, order)
+
+    def test_typical_window_is_accepted(self):
+        adds = [None, 3, None, None, 1, 2, None] * 20
+        accepted, got = _window(123456.7, adds)
+        assert accepted
+        assert got == _sequential(123456.7, adds)
+
+    @pytest.mark.parametrize("k", [3, 10, 20, 40, 52])
+    def test_window_reaching_the_next_power_of_two_declines(self, k):
+        ns = 2.0**k - 2.0
+        accepted, got = _window(ns, [None, None])
+        assert not accepted and got == ns
+        accepted, got = _window(ns, [None])
+        assert accepted and got == _sequential(ns, [None]) < 2.0**k
+        assert _window(ns, [2]) == (False, ns)
+        assert _window(ns, [1]) == (True, ns + 1.0)
+
+    @pytest.mark.parametrize("ns", [0.0, 1.0, 2.0, 3.5, 3.999])
+    def test_below_four_declines(self, ns):
+        assert _window(ns, [None, 5]) == (False, ns)
+        assert _window(ns, []) == (False, ns)
+
+    def test_tie_binade_rounds_by_parity(self):
+        # In [2, 4) a CPU_OP_NS add is a rounding tie, so its step
+        # depends on where it starts: no closed form exists there.
+        ulp = 2.0**-51
+        steps = {(x + 1.2) - x for x in (2.0, 2.0 + ulp)}
+        assert len(steps) == 2
+
+    @pytest.mark.parametrize("ns", [2.0**52, 2.0**52 + 2.0, 2.0**60])
+    def test_at_or_above_two_to_the_52_declines(self, ns):
+        assert _window(ns, [None]) == (False, ns)
+        assert _window(ns, [7]) == (False, ns)
+
+    def test_empty_window_is_accepted_unchanged(self):
+        assert _window(4.0, []) == (True, 4.0)
+        assert _window(2.0**52 - 1.0, []) == (True, 2.0**52 - 1.0)
+
+    def test_matches_a_long_shuffled_run(self):
+        rng = random.Random(7)
+        adds = [None if rng.random() < 0.6 else rng.randrange(4) for _ in range(5000)]
+        accepted, got = _window(98765.4321, adds)
+        assert accepted
+        rng.shuffle(adds)
+        assert got == _sequential(98765.4321, adds)
 
 
 class TestLineCache:
