@@ -381,6 +381,26 @@ class PrunedDag:
             return None
         return self._walk
 
+    def bottomup_specs(self) -> list | None:
+        """Per rule, what ``bound_and_entries`` returns and the spans it
+        charges: ``(record_off, entry_off, subrules, words, bound)``.
+
+        For :meth:`repro.pstruct.phashtable.PHashTable.build_bottomup`,
+        which charges those spans itself.  ``None`` when the host cache
+        cannot serve every rule; the build then reads through
+        :meth:`bound_and_entries`.
+        """
+        if self._epoch != self._mem.image_epoch and not self._revalidate():
+            return None
+        specs = []
+        for rule in range(self.n_rules):
+            row = self._row(rule)
+            if row is None:
+                return None
+            record_off, entry_off, subs, words, fields = row
+            specs.append((record_off, entry_off, subs, words, fields[7]))
+        return specs
+
     def hoisted_sweep(self, topo_order: list[int], weights: list[int]) -> bool:
         """Run :func:`~repro.core.traversal.full_sweep_weights_for_segment`'s
         rule loop as :func:`repro.kernels.dagops.full_sweep`.

@@ -97,7 +97,8 @@ class Kernels:
         #: (data_offset, capacity) -> cached memoryview triples for
         #: hash-table buffers (see repro.kernels.hashops.table_views).
         self.view_cache: dict = {}
-        #: Lazily-built tuple of per-device invariants (profile costs and
-        #: the memory's singleton cache/stats/clock objects) hoisted once
-        #: instead of per kernel call; see repro.kernels.hashops._consts.
+        #: Lazily-built tuple of per-device invariants (the line size,
+        #: the memory's singleton clock/stats/cache objects and bound
+        #: methods) hoisted once instead of per kernel call; see
+        #: repro.kernels.hashops._env.
         self.consts: tuple | None = None

@@ -13,7 +13,7 @@ this package):
 * :func:`read_u64` reads the mutable weight field after its record read
   was charged.
 
-:func:`full_sweep` is the third hoisted hot loop (after
+:func:`full_sweep` is a hoisted hot loop (like
 ``SimulatedMemory.rmw_add_each`` and :func:`repro.kernels.hashops.probe_batch`).
 It replaces ``full_sweep_weights_for_segment``'s per-rule ``subrules``
 call -- a record read, an entry read, one ``clock.cpu(1)`` per entry --
@@ -37,7 +37,11 @@ and its clock adds, which
 :meth:`~repro.nvm.memory.SimulatedClock.advance_window` applies in
 closed form.  A walk that finds an uncached line, or whose clock window
 is declined, charges nothing and returns "not served"; the caller then
-runs the per-access loop.
+runs the per-access loop.  The sweep alone keeps its per-rule steps, so
+a sweep whose window straddles a power of two is still served: in
+closed form up to the step that crosses, that step one add at a time,
+and the rest in closed form again
+(:meth:`~repro.nvm.memory.SimulatedClock.advance_steps`).
 
 Every caller guarantees ``mem.kernel_ready`` (no fault plan, trace
 recorder or integrity mirror, not a reference memory).
@@ -187,12 +191,16 @@ def last_touch_order(lines) -> list[int]:
 
 def sweep_summary(table, topo_order, record_size: int) -> tuple:
     """One full sweep's warm charge: ``(topo_order, distinct_lines, lines,
-    reads, bytes, entries)``, with ``distinct_lines`` in last-touch order.
+    reads, bytes, int_prefix, cpu_prefix)``, with ``distinct_lines`` in
+    last-touch order and the prefixes the per-rule steps' clock adds
+    (:meth:`~repro.nvm.memory.SimulatedClock.advance_steps`).
 
     ``table`` holds every rule's :func:`walk_entry`.
     """
     order = list(topo_order)
     touched: list[int] = []
+    int_prefix = [0]
+    cpu_prefix = [0]
     entries = spans = 0
     for rule in order:
         subs, _, record, span, _, _, _ = table[rule]
@@ -201,12 +209,15 @@ def sweep_summary(table, topo_order, record_size: int) -> tuple:
             touched += span
             spans += 1
             entries += len(subs)
+        int_prefix.append(len(touched))
+        cpu_prefix.append(entries)
     reads = len(order) + spans
     nbytes = len(order) * record_size + entries * 8
-    return order, last_touch_order(touched), len(touched), reads, nbytes, entries
+    distinct = last_touch_order(touched)
+    return order, distinct, len(touched), reads, nbytes, int_prefix, cpu_prefix
 
 
-def _serve(mem, distinct, lines: int, reads: int, nbytes: int) -> None:
+def serve_hits(mem, distinct, lines: int, reads: int, nbytes: int) -> None:
     """Apply an accepted all-hit walk's LRU moves and counters."""
     move_to_end = mem._cache._lines.move_to_end
     for line in distinct:
@@ -221,15 +232,31 @@ def _serve(mem, distinct, lines: int, reads: int, nbytes: int) -> None:
 def warm_sweep(mem, table, summary, weights: list[int]) -> bool:
     """:func:`full_sweep` for an all-hit sweep, charged in closed form.
 
-    Returns ``False``, having charged and changed nothing, when a line
-    of the sweep is not cached or the clock declines the window.
+    The clock takes the sweep's per-rule steps through
+    :meth:`~repro.nvm.memory.SimulatedClock.advance_steps`: in closed
+    form, apart from a step that reaches a power of two, which adds its
+    record and entry hits and its CPU ops one by one as
+    :func:`full_sweep` does.  Returns ``False``, having charged and
+    changed nothing, when a line of the sweep is not cached.
     """
-    order, distinct, lines, reads, nbytes, entries = summary
+    order, distinct, lines, reads, nbytes, int_prefix, cpu_prefix = summary
     if not all(map(mem._cache._lines.__contains__, distinct)):
         return False
-    if not mem.clock.advance_window(lines, entries):
-        return False
-    _serve(mem, distinct, lines, reads, nbytes)
+    clock = mem.clock
+    cpu = clock.CPU_OP_NS
+
+    def step(index: int) -> None:
+        subs, _, record, span, _, _, _ = table[order[index]]
+        ns = clock.ns
+        ns += len(record)
+        if subs:
+            ns += len(span)
+            for _ in subs:
+                ns += cpu
+        clock.ns = ns
+
+    clock.advance_steps(int_prefix, cpu_prefix, step)
+    serve_hits(mem, distinct, lines, reads, nbytes)
     for rule in order:
         weight = weights[rule]
         if weight:
@@ -270,7 +297,7 @@ def warm_word_fold(
     if not mem.clock.advance_window(len(touched), cpu_ops + entries):
         return False
     nbytes = len(weights) * record_size + entries * 8
-    _serve(mem, last_touch_order(touched), len(touched), len(weights) + spans, nbytes)
+    serve_hits(mem, last_touch_order(touched), len(touched), len(weights) + spans, nbytes)
     get = counts.get
     for rule, weight in weights.items():
         for word, freq in table[rule][1]:
@@ -327,5 +354,5 @@ def warm_local_weights(
     if not mem.clock.advance_window(len(touched), cpu_ops):
         return None
     nbytes = len(found) * record_size + n_subs * 8
-    _serve(mem, last_touch_order(touched), len(touched), len(found) + spans, nbytes)
+    serve_hits(mem, last_touch_order(touched), len(touched), len(found) + spans, nbytes)
     return {rule: w for rule, w in weights.items() if w}
