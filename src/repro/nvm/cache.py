@@ -114,11 +114,6 @@ class LineCache:
         """Return the ids of all dirty lines currently cached."""
         return [line for line, dirty in self._lines.items() if dirty]
 
-    def clean(self, line_id: int) -> None:
-        """Mark ``line_id`` clean (after an explicit flush)."""
-        if line_id in self._lines:
-            self._lines[line_id] = False
-
     def invalidate_all(self) -> None:
         """Drop every cached line (used when simulating a crash)."""
         self._lines.clear()
