@@ -90,13 +90,10 @@ def select_occupied(statuses: bytes, keys_raw: bytes, vals_raw: bytes):
 class Kernels:
     """Kernel state bound to one :class:`~repro.nvm.memory.SimulatedMemory`."""
 
-    __slots__ = ("mem", "view_cache", "consts")
+    __slots__ = ("mem", "consts")
 
     def __init__(self, mem) -> None:
         self.mem = mem
-        #: (data_offset, capacity) -> cached memoryview triples for
-        #: hash-table buffers (see repro.kernels.hashops.table_views).
-        self.view_cache: dict = {}
         #: Lazily-built tuple of per-device invariants (the line size,
         #: the memory's singleton clock/stats/cache objects and bound
         #: methods) hoisted once instead of per kernel call; see

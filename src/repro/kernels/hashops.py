@@ -76,16 +76,6 @@ def _views(buf, data_offset: int, capacity: int):
     )
 
 
-def table_views(kern, data_offset: int, capacity: int):
-    """Cached zero-copy (status, key, value) views of one table's buffers."""
-    cache_key = (data_offset, capacity)
-    views = kern.view_cache.get(cache_key)
-    if views is None:
-        views = _views(memoryview(kern.mem._buf), data_offset, capacity)
-        kern.view_cache[cache_key] = views
-    return views
-
-
 def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = CHUNK):
     """Yield per-chunk ``(keys, vals)`` lists of one table's occupied slots.
 
@@ -94,11 +84,12 @@ def scan_chunks(kern, *, data_offset: int, capacity: int, chunk: int = CHUNK):
     slots -- one bulk key read and one bulk value read, each charged by
     ``SimulatedMemory.charge_read``.  Charges land before each
     ``yield``, so a partial drain leaves the same simulator state as a
-    partial drain of the scalar generator.  Data moves through the
-    cached zero-copy views instead of ``mem.read`` copies.
+    partial drain of the scalar generator.  Data moves through
+    zero-copy views instead of ``mem.read`` copies.
     """
-    charge_read = kern.mem.charge_read
-    st_mv, k_mv, v_mv = table_views(kern, data_offset, capacity)
+    mem = kern.mem
+    charge_read = mem.charge_read
+    st_mv, k_mv, v_mv = _views(memoryview(mem._buf), data_offset, capacity)
     key_base = data_offset + capacity
     value_base = data_offset + capacity * 9
     for start in range(0, capacity, chunk):
@@ -174,7 +165,7 @@ def probe_batch(
     """
     return _probe(
         _env(kern),
-        table_views(kern, data_offset, capacity),
+        _views(memoryview(kern.mem._buf), data_offset, capacity),
         data_offset,
         capacity,
         count,
@@ -422,16 +413,14 @@ def build_wordlists(
     5. the visitors, then ``op_commit``.
 
     ``op`` (or ``None``) records what the ``traced_op`` wrappers would:
-    ``add_many`` per word batch, ``merge_from`` per child, and before it
-    the nested ``add_many`` of the scalar ``merge_from`` path (a table
-    that ``PHashTable._kernel_ok`` turns away).  Returns ``(tables,
-    scans)``: ``tables[rule]`` is the rule's table, and ``scans[rule]``
-    the host mirror of a table scanned as a child, kept for the rules in
-    ``keep`` (any other is dropped once its last parent is built):
-    ``(spans, keys, values, lines, nbytes, widths, hashes)``, its scan's
-    ``(offset, size)`` reads, its live pairs, the reads' lines in access
-    order, their byte total, each read's line count and the keys'
-    hashes.
+    ``add_many`` per word batch and ``merge_from`` per child.  Returns
+    ``(tables, scans)``: ``tables[rule]`` is the rule's table, and
+    ``scans[rule]`` the host mirror of a table scanned as a child, kept
+    for the rules in ``keep`` (any other is dropped once its last parent
+    is built): ``(spans, keys, values, lines, nbytes, widths, hashes)``,
+    its scan's ``(offset, size)`` reads, its live pairs, the reads' lines
+    in access order, their byte total, each read's line count and the
+    keys' hashes.
     """
     header, slot_bytes, capacity_of, max_load, hashes, adopt = layout
     env = _env(kern)
@@ -549,9 +538,6 @@ def build_wordlists(
         read(header_off, header_size)
         views = _views(buf, data_off, capacity)
         geometry[rule] = (data_off, capacity, views)
-        # Tables the probe kernel would not take run PHashTable's scalar
-        # merge_from, whose add_many is traced too.
-        scalar = capacity % 8 or data_off % 8 or line_size % 8
         load_limit = capacity * max_load
         mask = capacity - 1
         counter = [0]
@@ -597,10 +583,7 @@ def build_wordlists(
                 if _probe(env, views, data_off, capacity, count, 0, load_limit, entries, ADD, None, counter):
                     store(header_off, pack(capacity, counter[0], 0, 0, data_off))
             if op is not None:
-                delta = clock.ns - start
-                if scalar:
-                    op("phashtable:add_many", delta)
-                op("phashtable:merge_from", delta)
+                op("phashtable:merge_from", clock.ns - start)
             parents[sub] -= 1
             if not parents[sub] and sub not in keep:
                 del scans[sub]

@@ -36,33 +36,15 @@ class LineCache:
     def __len__(self) -> int:
         return len(self._lines)
 
-    def access(self, line_id: int, dirty: bool) -> tuple[bool, int | None]:
-        """Touch ``line_id``; return ``(hit, evicted_dirty_line)``.
-
-        ``evicted_dirty_line`` is the id of a dirty line that had to be
-        written back to make room, or ``None`` when no write-back occurred.
-        """
-        lines = self._lines
-        if line_id in lines:
-            lines[line_id] = lines[line_id] or dirty
-            lines.move_to_end(line_id)
-            return True, None
-        evicted_dirty: int | None = None
-        if len(lines) >= self.capacity_lines:
-            victim, victim_dirty = lines.popitem(last=False)
-            if victim_dirty:
-                evicted_dirty = victim
-        lines[line_id] = dirty
-        return False, evicted_dirty
-
     def access_many(
         self, first_line: int, last_line: int, dirty: bool
     ) -> tuple[int, list[tuple[int, int]], list[tuple[int, int]]]:
         """Touch lines ``first_line..last_line`` (inclusive) in order.
 
-        Semantically identical to calling :meth:`access` once per line, but
-        makes a single pass and returns aggregates the batched cost model
-        consumes directly:
+        A hit moves the line to the MRU end (a dirty touch marks it
+        dirty; a clean one never launders it); a miss inserts it,
+        evicting the LRU line when full.  One pass returns the aggregates
+        the batched cost model consumes directly:
 
         * ``n_hits`` -- how many of the lines were cache hits,
         * ``miss_runs`` -- maximal runs of consecutive missing lines as
@@ -72,7 +54,7 @@ class LineCache:
           whose insertion evicted ``victim_line``.
 
         A line evicted early in the span and touched again later in the
-        same span misses on the second touch, exactly as the per-line loop
+        same span misses on the second touch, exactly as a per-line loop
         would observe.
         """
         lines = self._lines
@@ -105,14 +87,6 @@ class LineCache:
         if run_len:
             miss_runs.append((run_start, run_len))
         return n_hits, miss_runs, evictions
-
-    def contains(self, line_id: int) -> bool:
-        """Return whether ``line_id`` is currently cached (no LRU update)."""
-        return line_id in self._lines
-
-    def dirty_lines(self) -> list[int]:
-        """Return the ids of all dirty lines currently cached."""
-        return [line for line, dirty in self._lines.items() if dirty]
 
     def invalidate_all(self) -> None:
         """Drop every cached line (used when simulating a crash)."""

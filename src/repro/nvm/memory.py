@@ -5,8 +5,10 @@ structure in this library is built on.  Each ``read``/``write`` call:
 
 1. rounds the touched byte range up to device lines,
 2. runs each line through an LRU :class:`~repro.nvm.cache.LineCache`,
-3. charges misses and write-backs to a shared :class:`SimulatedClock`
-   using the memory's :class:`~repro.nvm.device.DeviceProfile`, with a
+3. charges a hit 1 ns and a miss by the one miss rule
+   (:meth:`SimulatedMemory._miss`) to a shared :class:`SimulatedClock`,
+   at the prices of one :class:`LinePrices` record derived from the
+   memory's :class:`~repro.nvm.device.DeviceProfile`, with a
    sequential-access discount when a miss continues the previous line.
 
 Because the clock is shared, several memories (a DRAM and an NVM, say) can
@@ -34,6 +36,7 @@ import math
 import mmap
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.errors import InvalidAccessError, MediaError
 from repro.kernels.core import Kernels
@@ -183,6 +186,31 @@ def charge_sequential_io(
     return cost
 
 
+class LinePrices(NamedTuple):
+    """Every per-line media price of one device, syscall included.
+
+    Derived once per memory by :meth:`of`; the miss rule, the span rule
+    and the flush charge read their prices from here and nowhere else.
+    """
+
+    fetch: float  # random line fetch
+    seq_fetch: float  # fetch of the line after the previous miss
+    writeback: float  # random dirty-victim write-back
+    seq_writeback: float  # write-back of the line after the miss
+    flush: float  # one flushed line (CLWB + fence)
+
+    @classmethod
+    def of(cls, profile: DeviceProfile) -> "LinePrices":
+        syscall = profile.syscall_ns
+        return cls(
+            profile.read_ns + syscall,
+            profile.seq_read_ns + syscall,
+            profile.write_ns + syscall,
+            profile.seq_write_ns + syscall,
+            profile.flush_ns + syscall,
+        )
+
+
 class SimulatedMemory:
     """A fixed-size byte array fronted by a line cache and a cost model.
 
@@ -212,6 +240,7 @@ class SimulatedMemory:
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.profile = profile
+        self._prices = LinePrices.of(profile)
         self.size = size
         self.clock = clock if clock is not None else SimulatedClock()
         self.name = name or profile.name
@@ -304,55 +333,30 @@ class SimulatedMemory:
     def charge_read(self, offset: int, size: int) -> None:
         """Charge ``read(offset, size)`` without moving the bytes.
 
-        This is the one place the single-line read rule is written: the
-        line is an LRU hit (1 ns) or a fetch miss (sequential when it
-        continues the previous miss) that may evict a dirty victim.
-        Multi-line spans are charged by :meth:`_touch_batch`, and every
-        access by :meth:`_touch` under ``reference=True``.  Called alone
-        it skips the fault hooks and seal checks of :meth:`read`, so
-        callers that serve the bytes themselves do so only while
-        :attr:`kernel_ready`.
+        A one-line span is charged here: an LRU hit costs 1 ns, a miss
+        goes through :meth:`_miss` (always a fetch).  Multi-line spans
+        are charged by :meth:`_touch_batch`, and every access by
+        :meth:`_touch` under ``reference=True``.  Called alone it skips
+        the fault hooks and seal checks of :meth:`read`, so callers that
+        serve the bytes themselves do so only while :attr:`kernel_ready`.
         """
         end = offset + size
         if offset < 0 or size < 0 or end > self.size:
             self._check_range(offset, size)
-        profile = self.profile
-        line_size = profile.line_size
+        line_size = self.profile.line_size
         first = offset // line_size
         stats = self.stats
         if self._reference or size == 0 or (end - 1) // line_size != first:
             self._touch_span(offset, size, False)
         else:
-            cache_lines = self._cache._lines
             stats.lines_read += 1
+            cache_lines = self._cache._lines
             if first in cache_lines:
                 cache_lines.move_to_end(first)
                 stats.cache_hits += 1
-                total = 1.0
+                self.clock.ns += 1.0
             else:
-                stats.cache_misses += 1
-                lml = self._last_media_line
-                total = (
-                    profile.seq_read_ns
-                    if lml is not None and first == lml + 1
-                    else profile.read_ns
-                ) + profile.syscall_ns
-                self._last_media_line = first
-                if len(cache_lines) >= self._cache.capacity_lines:
-                    victim, victim_dirty = cache_lines.popitem(False)
-                    if victim_dirty:
-                        cost = (
-                            profile.seq_write_ns
-                            if victim == first + 1
-                            else profile.write_ns
-                        ) + profile.syscall_ns
-                        total += cost
-                        stats.writebacks += 1
-                        self._program_line(victim)
-                        self._evict_programmed.add(victim)
-                stats.device_ns += total
-                cache_lines[first] = False
-            self.clock.ns += total
+                self.clock.ns += self._miss(first, False)
         stats.read_ops += 1
         stats.bytes_read += size
 
@@ -362,9 +366,9 @@ class SimulatedMemory:
         A write that covers an entire line does not pay the fetch-on-miss
         cost (write-allocate without fetch): the old contents are fully
         overwritten, as a page cache or WPQ buffer would recognize.  Nor
-        does a miss on a line that never reached media.  This is the one
-        place the single-line write rule is written; spans and the
-        reference model are charged as in :meth:`read`.
+        does a miss on a line that never reached media.  A one-line
+        write is charged here (a hit inline, a miss by :meth:`_miss`);
+        spans and the reference model are charged as in :meth:`read`.
         """
         if self._fault_plan is not None:
             self._fault_plan.on_write(self)
@@ -372,52 +376,24 @@ class SimulatedMemory:
         end = offset + size
         if offset < 0 or end > self.size:
             self._check_range(offset, size)
-        profile = self.profile
-        line_size = profile.line_size
+        line_size = self.profile.line_size
         first = offset // line_size
         stats = self.stats
         if self._reference or size == 0 or (end - 1) // line_size != first:
             self._touch_span(offset, size, True)
         else:
-            cache_lines = self._cache._lines
             stats.lines_written += 1
+            cache_lines = self._cache._lines
             if first in cache_lines:
                 cache_lines.move_to_end(first)
+                cache_lines[first] = True
+                self._dirty_lines.add(first)
+                self._evict_programmed.discard(first)
                 stats.cache_hits += 1
-                total = 1.0
+                self.clock.ns += 1.0
             else:
-                stats.cache_misses += 1
-                device = 0.0
-                if first not in self._media_lines or size == line_size:
-                    total = 1.0
-                else:
-                    lml = self._last_media_line
-                    total = (
-                        profile.seq_read_ns
-                        if lml is not None and first == lml + 1
-                        else profile.read_ns
-                    ) + profile.syscall_ns
-                    device = total
-                self._last_media_line = first
-                if len(cache_lines) >= self._cache.capacity_lines:
-                    victim, victim_dirty = cache_lines.popitem(False)
-                    if victim_dirty:
-                        cost = (
-                            profile.seq_write_ns
-                            if victim == first + 1
-                            else profile.write_ns
-                        ) + profile.syscall_ns
-                        total += cost
-                        device += cost
-                        stats.writebacks += 1
-                        self._program_line(victim)
-                        self._evict_programmed.add(victim)
-                if device:
-                    stats.device_ns += device
-            cache_lines[first] = True
-            self._dirty_lines.add(first)
-            self._evict_programmed.discard(first)
-            self.clock.ns += total
+                fetch = size != line_size and first in self._media_lines
+                self.clock.ns += self._miss(first, True, fetch)
         stats.write_ops += 1
         stats.bytes_written += size
         self._buf[offset:end] = data
@@ -484,13 +460,13 @@ class SimulatedMemory:
 
         Accounting is identical to issuing the calls one by one, which
         is what happens unless :attr:`kernel_ready`.  Otherwise this is
-        the hoisted hot loop that copies the single-line rules of
-        :meth:`charge_read` and :meth:`write` instead of calling them
-        (the loops in ``repro.kernels`` inline only the hit and call
-        the memory for a miss): scattered counter updates are the per-token hot
-        loop of the analytics baselines, and the call chain per element
-        costs more wall-clock than the charge itself.  The copy is held
-        to the scalar calls by ``tests/test_batch_equivalence.py``
+        the hoisted hot loop (scattered counter updates are the
+        per-token hot loop of the analytics baselines, and the call
+        chain per element costs more wall-clock than the charge itself).
+        Like the loops in ``repro.kernels`` it inlines only the hit --
+        the read half and the write half of a cached site cost 1 ns
+        each -- and sends a miss through :meth:`_miss`.  It is held to
+        the scalar calls by ``tests/test_batch_equivalence.py``
         (``test_fused_rmw_equivalence``, the overflow regression) and
         ``tests/test_kernel_equivalence.py``.
 
@@ -504,27 +480,16 @@ class SimulatedMemory:
                 for offset, delta in pairs
             ]
             return values if collect else None
-        profile = self.profile
-        line_size = profile.line_size
-        read_ns = profile.read_ns
-        seq_read_ns = profile.seq_read_ns
-        write_ns = profile.write_ns
-        seq_write_ns = profile.seq_write_ns
-        syscall = profile.syscall_ns
+        line_size = self.profile.line_size
         device_size = self.size
         stats = self.stats
         cache_lines = self._cache._lines
-        capacity = self._cache.capacity_lines
-        popitem = cache_lines.popitem
         move_to_end = cache_lines.move_to_end
         dirty_add = self._dirty_lines.add
         ep_discard = self._evict_programmed.discard
-        ep_add = self._evict_programmed.add
-        media = self._media_lines
-        wear = self.wear
+        miss = self._miss
         buf = self._buf
         from_bytes = int.from_bytes
-        lml = self._last_media_line
         size1 = size - 1
         values: list[int] | None = [] if collect else None
         #: Deferred buffer updates (offset -> accumulated delta).  When the
@@ -541,14 +506,11 @@ class SimulatedMemory:
         #: cross a width limit and come back, so it ends pending.
         sign = 0
         total = 0.0
-        device = 0.0
         hits = 0
-        misses = 0
-        writebacks = 0
         n_ops = 0
 
         def sync() -> None:
-            nonlocal total, device, hits, misses, writebacks, n_ops
+            nonlocal total, hits, n_ops
             if pend:
                 # to_bytes raises OverflowError where a scalar write would.
                 for p_off, p_delta in pend.items():
@@ -559,20 +521,16 @@ class SimulatedMemory:
                     )
                     buf[p_off:p_end] = p_value.to_bytes(size, "little", signed=signed)
                 pend.clear()
-            self._last_media_line = lml
             self.clock.ns += total
-            stats.device_ns += device
             stats.cache_hits += hits + n_ops
-            stats.cache_misses += misses
-            stats.writebacks += writebacks
             stats.lines_read += n_ops
             stats.lines_written += n_ops
             stats.read_ops += n_ops
             stats.write_ops += n_ops
             stats.bytes_read += n_ops * size
             stats.bytes_written += n_ops * size
-            total = device = 0.0
-            hits = misses = writebacks = n_ops = 0
+            total = 0.0
+            hits = n_ops = 0
 
         try:
             for offset, delta in pairs:
@@ -592,14 +550,12 @@ class SimulatedMemory:
                     # Line-straddling field: sync and take the scalar path.
                     sync()
                     value = self.rmw_add(offset, size, delta, signed=signed)
-                    lml = self._last_media_line
                     if values is not None:
                         values.append(value)
                     continue
-                # Read half (reads always fetch on miss), with the LRU dict
-                # driven directly.  The write half is a guaranteed dirty hit
-                # on the just-read line, so both halves collapse into one
-                # dict update + 1ns each.
+                # The write half is a dirty hit on the line the read half
+                # just cached, so a site is one hit or one fetch miss, plus
+                # 1 ns for the write.
                 if first in cache_lines:
                     hits += 1
                     move_to_end(first)
@@ -612,29 +568,7 @@ class SimulatedMemory:
                         dirty_add(first)
                         ep_discard(first)
                 else:
-                    misses += 1
-                    cost = (
-                        seq_read_ns if lml is not None and first == lml + 1 else read_ns
-                    ) + syscall
-                    total += cost + 1.0
-                    device += cost
-                    lml = first
-                    if len(cache_lines) >= capacity:
-                        victim, victim_dirty = popitem(False)
-                        if victim_dirty:
-                            cost = (
-                                seq_write_ns if victim == lml + 1 else write_ns
-                            ) + syscall
-                            total += cost
-                            device += cost
-                            writebacks += 1
-                            media.add(victim)
-                            if wear is not None:
-                                wear[victim] = wear.get(victim, 0) + 1
-                            ep_add(victim)
-                    cache_lines[first] = True
-                    dirty_add(first)
-                    ep_discard(first)
+                    total += miss(first, True) + 1.0
                 if pend is not None:
                     pend[offset] = pend_get(offset, 0) + delta
                 else:
@@ -698,9 +632,8 @@ class SimulatedMemory:
             if tear is not None:
                 self._apply_torn_flush(plan, *tear)  # raises CrashPoint
         flushed = len(dirty_lines)
+        self._charge_flushed(flushed)
         if flushed:
-            self.clock.advance(flushed * (self.profile.flush_ns + self.profile.syscall_ns))
-            self.stats.flushed_lines += flushed
             # A line already programmed by an eviction write-back holds its
             # final data on media; flushing it persists cache state but is
             # not a second media program for endurance purposes.
@@ -775,10 +708,7 @@ class SimulatedMemory:
         if cut_line is not None and partial_bytes > 0:
             unit = max(profile.atomic_unit, 1)
             cut_bytes = min((partial_bytes // unit) * unit, line_size)
-        charged = len(persisted) + (1 if cut_bytes else 0)
-        if charged:
-            self.clock.advance(charged * (profile.flush_ns + profile.syscall_ns))
-            self.stats.flushed_lines += charged
+        self._charge_flushed(len(persisted) + (1 if cut_bytes else 0))
         if profile.persistent:
             if self._flushed_image is None:
                 self._flushed_image = mmap.mmap(-1, self.size)
@@ -1081,76 +1011,104 @@ class SimulatedMemory:
             stop = min(start + line_size, self.size)
             seals[line] = zlib.crc32(bytes(self._buf[start:stop])) or 1
 
+    def _charge_flushed(self, lines: int) -> None:
+        """Charge ``lines`` flushed lines at the record's flush price."""
+        if lines:
+            self.clock.advance(lines * self._prices.flush)
+            self.stats.flushed_lines += lines
+
+    def _miss(self, line: int, dirty: bool, fetch: bool = True) -> float:
+        """The one miss rule: cache ``line``, return the ns it costs.
+
+        A fetch is priced sequential when ``line`` follows the previous
+        miss and random otherwise; ``fetch=False`` (a write that needs no
+        media read) allocates for 1 ns instead.  A full cache pops its LRU
+        line, and a dirty victim is written back -- sequentially when it
+        is ``line + 1``, since the miss has just moved the media position
+        to ``line``.  The counters, ``device_ns``, wear and the dirty and
+        evict-programmed sets are updated here; the clock is left to the
+        caller, whose hoisted loops add a run of charges at once.
+        """
+        prices = self._prices
+        stats = self.stats
+        stats.cache_misses += 1
+        if fetch:
+            last = self._last_media_line
+            sequential = last is not None and line == last + 1
+            cost = prices.seq_fetch if sequential else prices.fetch
+            device = cost
+        else:
+            cost = 1.0
+            device = 0.0
+        self._last_media_line = line
+        cache_lines = self._cache._lines
+        if len(cache_lines) >= self._cache.capacity_lines:
+            victim, victim_dirty = cache_lines.popitem(False)
+            if victim_dirty:
+                writeback = (
+                    prices.seq_writeback if victim == line + 1 else prices.writeback
+                )
+                cost += writeback
+                device += writeback
+                stats.writebacks += 1
+                self._program_line(victim)
+                self._evict_programmed.add(victim)
+        if device:
+            stats.device_ns += device
+        cache_lines[line] = dirty
+        if dirty:
+            self._dirty_lines.add(line)
+            self._evict_programmed.discard(line)
+        return cost
+
     def _touch(self, offset: int, size: int, dirty: bool) -> None:
         """Per-line reference cost model: cache each line, charge the clock.
 
         This is the executable specification the fast path (the
-        single-line rules in :meth:`charge_read`/:meth:`write`, the span rule in
-        :meth:`_touch_batch`, and the hoisted loops) must reproduce
-        bit-for-bit; ``reference=True`` selects it so the differential
-        suites can replay traces through both.
+        single-line hits in :meth:`charge_read`/:meth:`write`, the span
+        rule in :meth:`_touch_batch`, and the hoisted loops) must
+        reproduce bit-for-bit; ``reference=True`` selects it so the
+        differential suites can replay traces through both.  A hit costs
+        1 ns; a miss is :meth:`_miss`.
         """
-        profile = self.profile
+        line_size = self.profile.line_size
         clock = self.clock
         stats = self.stats
-        line_size = profile.line_size
-        for line in profile.lines_spanned(offset, size):
-            hit, evicted_dirty = self._cache.access(line, dirty)
+        cache_lines = self._cache._lines
+        for line in self.profile.lines_spanned(offset, size):
             if dirty:
-                self._dirty_lines.add(line)
-                self._evict_programmed.discard(line)
                 stats.lines_written += 1
             else:
                 stats.lines_read += 1
-            # A miss needs no media fetch when the write covers the whole
+            if line in cache_lines:
+                cache_lines.move_to_end(line)
+                stats.cache_hits += 1
+                if dirty:
+                    cache_lines[line] = True
+                    self._dirty_lines.add(line)
+                    self._evict_programmed.discard(line)
+                clock.advance(1.0)
+                continue
+            # A write miss needs no media fetch when it covers the whole
             # line, or when the line never reached media (fresh pool space
             # has nothing to fetch -- like writing past EOF of a new file).
-            no_fetch = dirty and (
-                line not in self._media_lines
-                or (
+            fetch = not dirty or (
+                line in self._media_lines
+                and not (
                     offset <= line * line_size
                     and offset + size >= (line + 1) * line_size
                 )
             )
-            if hit or no_fetch:
-                stats.cache_hits += 1 if hit else 0
-                if not hit:
-                    stats.cache_misses += 1
-                    self._last_media_line = line
-                clock.advance(1.0)  # cache-hit / no-fetch-allocate latency
-            else:
-                stats.cache_misses += 1
-                sequential = (
-                    self._last_media_line is not None
-                    and line == self._last_media_line + 1
-                )
-                cost = profile.seq_read_ns if sequential else profile.read_ns
-                cost += profile.syscall_ns
-                clock.advance(cost)
-                stats.device_ns += cost
-                self._last_media_line = line
-            if evicted_dirty is not None:
-                # Write-back of an evicted dirty line reaches the media.
-                sequential = (
-                    self._last_media_line is not None
-                    and evicted_dirty == self._last_media_line + 1
-                )
-                cost = profile.seq_write_ns if sequential else profile.write_ns
-                cost += profile.syscall_ns
-                clock.advance(cost)
-                stats.device_ns += cost
-                stats.writebacks += 1
-                self._program_line(evicted_dirty)
-                self._evict_programmed.add(evicted_dirty)
+            clock.advance(self._miss(line, dirty, fetch))
 
     def _touch_batch(self, offset: int, size: int, dirty: bool) -> None:
         """Charge a whole access span with run-length arithmetic.
 
         Equivalent to running :meth:`_touch`'s per-line loop, but the span
         is classified into hit/miss/no-fetch runs in one cache pass and
-        each run is charged in closed form (see docs/cost_model.md,
-        "Batched access & cost equivalence").  Key invariants that make
-        the closed forms exact:
+        each run is charged in closed form at the :class:`LinePrices`
+        record's prices (see docs/cost_model.md, "Batched access & cost
+        equivalence").  Key invariants that make the closed forms exact:
 
         * every per-line charge is an integer number of nanoseconds, so
           grouping additions cannot change the sum;
@@ -1162,12 +1120,12 @@ class SimulatedMemory:
           fetches need individual treatment.
 
         A dirty span must cross a line boundary (a one-line write is
-        :meth:`write`'s single-line rule); a clean span may be one line.
+        charged by :meth:`write`); a clean span may be one line.
         """
         if size <= 0:
             return
-        profile = self.profile
-        line_size = profile.line_size
+        prices = self._prices
+        line_size = self.profile.line_size
         first = offset // line_size
         last = (offset + size - 1) // line_size
         stats = self.stats
@@ -1179,7 +1137,6 @@ class SimulatedMemory:
         total = float(n_hits)  # every hit costs 1 ns
         device = 0.0
         lml = self._last_media_line
-        syscall = profile.syscall_ns
         if dirty:
             self._dirty_lines.update(range(first, last + 1))
             if self._evict_programmed:
@@ -1200,10 +1157,10 @@ class SimulatedMemory:
                     and first in media
                 ):
                     cost = (
-                        profile.seq_read_ns
+                        prices.seq_fetch
                         if lml is not None and first == lml + 1
-                        else profile.read_ns
-                    ) + syscall
+                        else prices.fetch
+                    )
                     total += cost - 1.0
                     device += cost
                 if (
@@ -1224,39 +1181,39 @@ class SimulatedMemory:
                     else:
                         prev_miss = lml
                     cost = (
-                        profile.seq_read_ns
+                        prices.seq_fetch
                         if prev_miss is not None and last == prev_miss + 1
-                        else profile.read_ns
-                    ) + syscall
+                        else prices.fetch
+                    )
                     total += cost - 1.0
                     device += cost
                 lml = last_run_start + last_run_len - 1
         else:
             stats.lines_read += n
             if miss_runs:
-                read_ns = profile.read_ns
-                seq_read_ns = profile.seq_read_ns
+                fetch = prices.fetch
+                seq_fetch = prices.seq_fetch
                 prev_end: int | None = None
                 for run_start, run_len in miss_runs:
                     before = prev_end if prev_end is not None else lml
                     base = (
-                        seq_read_ns
+                        seq_fetch
                         if before is not None and run_start == before + 1
-                        else read_ns
+                        else fetch
                     )
-                    cost = base + (run_len - 1) * seq_read_ns + run_len * syscall
+                    cost = base + (run_len - 1) * seq_fetch
                     total += cost
                     device += cost
                     prev_end = run_start + run_len - 1
                 lml = prev_end
         if evictions:
-            write_ns = profile.write_ns
-            seq_write_ns = profile.seq_write_ns
+            writeback = prices.writeback
+            seq_writeback = prices.seq_writeback
             evict_programmed = self._evict_programmed
             for at, victim in evictions:
                 # The triggering miss set _last_media_line to `at`, so the
                 # write-back is sequential exactly when victim == at + 1.
-                cost = (seq_write_ns if victim == at + 1 else write_ns) + syscall
+                cost = seq_writeback if victim == at + 1 else writeback
                 total += cost
                 device += cost
                 self._program_line(victim)

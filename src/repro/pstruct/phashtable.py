@@ -332,6 +332,10 @@ class PHashTable:
         pays one probe; probes run in home-slot order (see
         :meth:`insert_many`) and the header is stored once.
         """
+        self._add_many(pairs)
+
+    def _add_many(self, pairs) -> None:
+        """:meth:`add_many` without its op record (``merge_from`` calls it)."""
         totals: dict[int, int] = {}
         get = totals.get
         for key, delta in pairs:
@@ -381,9 +385,9 @@ class PHashTable:
         """
         if not self._kernel_ok():
             if scale == 1:
-                self.add_many(other.items())
+                self._add_many(other.items())
             else:
-                self.add_many((word, count * scale) for word, count in other.items())
+                self._add_many((word, count * scale) for word, count in other.items())
             return
         keys, vals = other._scan_entries()
         if not keys:

@@ -30,7 +30,7 @@ from repro.nvm.device import DeviceProfile
 from repro.nvm.faults import FaultPlan
 from repro.nvm.memory import SimulatedMemory
 
-_PROFILES = ("nvm", "dram", "ssd", "reram", "pcm")
+_PROFILES = ("nvm", "dram", "ssd", "hdd", "reram", "pcm")
 _CACHE_LINES = (1, 2, 3, 8, 64)
 _SEEDS_PER_CONFIG = 9
 _DEVICE_LINES = 64  # small device -> frequent line reuse and conflicts
@@ -295,6 +295,22 @@ class TestDirectedCorners:
                 ("read", 10 * ls, ls), # random jump
                 ("read", 11 * ls, 3 * ls),  # sequential continuation run
             ]
+        )
+
+    def test_rmw_miss_writes_back_the_next_line_sequentially(self):
+        # Line 1 is dirty in a 1-line cache; an rmw_add_each site on
+        # line 0 fetches line 0 and evicts line 1 = line 0 + 1, so the
+        # write-back takes the sequential price.
+        ls = 256
+        reference, batched, _ = _make_pair("nvm", 1)
+        ops = [("write", ls, b"a" * ls), ("rmw_each", 8, [(0, 5)])]
+        _replay_rmw(reference, ops, fused=False)
+        _replay_rmw(batched, ops, fused=True)
+        assert _state(batched) == _state(reference)
+        profile = batched.profile
+        assert batched.stats.writebacks == 1
+        assert batched.clock.ns == (
+            1.0 + profile.read_ns + profile.seq_write_ns + 2 * profile.syscall_ns + 1.0
         )
 
     def test_flush_then_rewrite_wears_once_per_program(self):

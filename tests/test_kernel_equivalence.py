@@ -559,8 +559,9 @@ class TestFusedBottomupDifferential:
 
     def test_traced_ops_match_the_per_rule_chain(self, monkeypatch):
         """The fused pass records the ``phashtable`` ops the per-rule
-        chain's ``traced_op`` wrappers record on the same fast memory,
-        the nested ``add_many`` of scalar ``merge_from`` calls included."""
+        chain's ``traced_op`` wrappers record on the same fast memory:
+        one ``add_many`` per word batch and one ``merge_from`` per child
+        (a scalar ``merge_from`` records no nested ``add_many``)."""
         corpus = corpus_for("B", 0.1)
         ops = []
         for fused in (False, True):
@@ -576,6 +577,23 @@ class TestFusedBottomupDifferential:
                         if name.startswith("phashtable:")})
         assert ops[1] == ops[0]
         assert ops[0]["phashtable:merge_from"].count > 0
+
+    def test_traced_op_counts_match_the_reference_memory(self):
+        """The op histograms do not depend on the access path: the
+        reference memories (all-scalar ``merge_from``) record as many
+        ``phashtable`` ops of each name as the default kernels."""
+        corpus = corpus_for("B", 0.1)
+        counts = []
+        for kernels in (False, True):
+            tracer = Tracer()
+            config = EngineConfig(traversal="bottomup", tracer=tracer, kernels=kernels)
+            NTadocEngine(corpus, config).run_many(
+                [task_by_name(name) for name in ("word_count", "term_vector")]
+            )
+            counts.append({name: hist.count for name, hist in tracer.ops.items()
+                           if name.startswith("phashtable:")})
+        assert counts[1] == counts[0]
+        assert counts[0]["phashtable:merge_from"] > 0
 
 
 class TestFusedBuildEngages:

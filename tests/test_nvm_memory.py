@@ -144,42 +144,50 @@ class TestClockWindow:
 class TestLineCache:
     def test_miss_then_hit(self):
         cache = LineCache(capacity_bytes=1024, line_size=64)
-        hit, _ = cache.access(5, dirty=False)
-        assert not hit
-        hit, _ = cache.access(5, dirty=False)
-        assert hit
+        assert cache.access_many(5, 5, dirty=False) == (0, [(5, 1)], [])
+        assert cache.access_many(5, 5, dirty=False) == (1, [], [])
 
     def test_lru_eviction_order(self):
         cache = LineCache(capacity_bytes=128, line_size=64)  # 2 lines
-        cache.access(1, False)
-        cache.access(2, False)
-        cache.access(1, False)  # refresh line 1
-        cache.access(3, False)  # evicts line 2 (LRU)
-        assert cache.contains(1)
-        assert not cache.contains(2)
-        assert cache.contains(3)
+        cache.access_many(1, 2, False)
+        cache.access_many(1, 1, False)  # refresh line 1
+        cache.access_many(3, 3, False)  # evicts line 2 (LRU)
+        assert list(cache._lines) == [1, 3]
 
     def test_dirty_eviction_reported(self):
         cache = LineCache(capacity_bytes=64, line_size=64)  # 1 line
-        cache.access(1, dirty=True)
-        _, evicted = cache.access(2, dirty=False)
-        assert evicted == 1
+        cache.access_many(1, 1, dirty=True)
+        _, _, evictions = cache.access_many(2, 2, dirty=False)
+        assert evictions == [(2, 1)]
 
     def test_clean_eviction_not_reported(self):
         cache = LineCache(capacity_bytes=64, line_size=64)
-        cache.access(1, dirty=False)
-        _, evicted = cache.access(2, dirty=False)
-        assert evicted is None
+        cache.access_many(1, 1, dirty=False)
+        _, _, evictions = cache.access_many(2, 2, dirty=False)
+        assert evictions == []
 
     def test_dirty_flag_sticks(self):
         cache = LineCache(capacity_bytes=128, line_size=64)
-        cache.access(1, dirty=True)
-        cache.access(1, dirty=False)  # clean re-access must not launder
-        assert cache.dirty_lines() == [1]
+        cache.access_many(1, 1, dirty=True)
+        cache.access_many(1, 1, dirty=False)  # clean re-access must not launder
+        assert dict(cache._lines) == {1: True}
+
+    def test_memory_miss_rule_keeps_lru_order(self):
+        # The single-line read/write paths drive the same LRU dict.
+        mem = make_nvm(cache_bytes=2 * 256)
+        mem.write(256, b"x")  # line 1, dirty
+        mem.read(512, 1)  # line 2
+        mem.read(256, 1)  # refresh line 1
+        mem.read(768, 1)  # evicts line 2 (LRU, clean)
+        assert list(mem._cache._lines.items()) == [(1, True), (3, False)]
+        assert mem.stats.writebacks == 0
+        mem.read(0, 1)  # evicts dirty line 1: a write-back
+        assert list(mem._cache._lines) == [3, 0]
+        assert mem.stats.writebacks == 1
 
     def test_invalidate_all(self):
         cache = LineCache(capacity_bytes=1024, line_size=64)
-        cache.access(1, True)
+        cache.access_many(1, 1, True)
         cache.invalidate_all()
         assert len(cache) == 0
 
