@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.analytics import InvertedIndex, TermVector, WordCount
 from repro.core.engine import EngineConfig, NTadocEngine
-from repro.harness.crashsweep import canonical_result
+from repro.harness.sweep import canonical_result
 
 _OUT = Path(__file__).resolve().parent.parent / "BENCH_fused.json"
 

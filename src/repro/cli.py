@@ -328,50 +328,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="corpus cache directory (skips Sequitur on reruns)",
     )
 
-    p = sub.add_parser(
-        "crashsweep",
-        help="enumerate crash points and verify recovery (docs/recovery.md)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="bounded sweep (>= 200 points; the CI configuration)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=20240817,
-        help="sweep seed; a fixed seed makes the JSON report byte-stable",
-    )
-    p.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the JSON report here (default: stdout summary only)",
-    )
-
-    p = sub.add_parser(
-        "faultsweep",
-        help="enumerate media-fault points, verify resilience "
-        "(docs/recovery.md)",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="bounded sweep (>= 200 points; the CI configuration)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=20240817,
-        help="sweep seed; a fixed seed makes the JSON report byte-stable",
-    )
-    p.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="write the JSON report here (default: stdout summary only)",
-    )
+    for name, help_text in (
+        ("crashsweep", "enumerate crash points and verify recovery"),
+        ("faultsweep", "enumerate media-fault points, verify resilience"),
+    ):
+        p = sub.add_parser(name, help=f"{help_text} (docs/recovery.md)")
+        p.add_argument(
+            "--smoke",
+            action="store_true",
+            help="bounded sweep (>= 200 points; the CI configuration)",
+        )
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=20240817,
+            help="sweep seed; a fixed seed makes the JSON report byte-stable",
+        )
+        p.add_argument(
+            "--out",
+            type=Path,
+            default=None,
+            help="write the JSON report here (default: stdout summary only)",
+        )
 
     p = sub.add_parser(
         "blackbox",
@@ -818,59 +796,39 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _cmd_crashsweep(args) -> int:
-    from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
+def _cmd_sweep(args) -> int:
+    from repro.harness import crashsweep, faultsweep
+    from repro.harness.sweep import render_report
 
-    config = (
-        SweepConfig.smoke(seed=args.seed)
-        if args.smoke
-        else SweepConfig.full(seed=args.seed)
-    )
-    report = run_sweep(config)
-    rendered = render_report(report)
+    crash = args.command == "crashsweep"
+    if crash:
+        config_cls, run_sweep = crashsweep.SweepConfig, crashsweep.run_sweep
+    else:
+        config_cls = faultsweep.FaultSweepConfig
+        run_sweep = faultsweep.run_sweep
+    make_config = config_cls.smoke if args.smoke else config_cls.full
+    report = run_sweep(make_config(seed=args.seed))
     if args.out is not None:
-        args.out.write_text(rendered, encoding="utf-8")
+        args.out.write_text(render_report(report), encoding="utf-8")
         print(f"wrote {args.out}")
     violations = report["violations"]
-    print(
-        f"swept {report['points_swept']} crash points "
-        f"({report['recoveries']} recoveries, "
-        f"mean recovery {report['mean_recovery_ns']:.0f} simulated ns): "
-        f"{len(violations)} violation(s)"
-    )
-    for violation in violations:
-        print(
-            f"  [{violation['scenario']}/{violation['kind']} "
-            f"@{violation['index']}] {violation['problem']}"
+    if crash:
+        found = (
+            f"crash points ({report['recoveries']} recoveries, "
+            f"mean recovery {report['mean_recovery_ns']:.0f} simulated ns): "
         )
-    return 1 if violations else 0
-
-
-def _cmd_faultsweep(args) -> int:
-    from repro.harness.faultsweep import (
-        FaultSweepConfig,
-        render_report,
-        run_sweep,
-    )
-
-    config = (
-        FaultSweepConfig.smoke(seed=args.seed)
-        if args.smoke
-        else FaultSweepConfig.full(seed=args.seed)
-    )
-    report = run_sweep(config)
-    rendered = render_report(report)
-    if args.out is not None:
-        args.out.write_text(rendered, encoding="utf-8")
-        print(f"wrote {args.out}")
-    violations = report["violations"]
-    outcomes = ", ".join(
-        f"{name}={count}" for name, count in sorted(report["outcomes"].items())
-    )
+    else:
+        outcomes = ", ".join(
+            f"{name}={count}"
+            for name, count in sorted(report["outcomes"].items())
+        )
+        found = (
+            f"media-fault points ({outcomes}; mean recovery "
+            f"+{report['mean_recovery_extra_ns']:.0f} simulated ns): "
+            f"{report['silent_wrong_answers']} silent wrong answer(s), "
+        )
     print(
-        f"swept {report['points_swept']} media-fault points ({outcomes}; "
-        f"mean recovery +{report['mean_recovery_extra_ns']:.0f} simulated "
-        f"ns): {report['silent_wrong_answers']} silent wrong answer(s), "
+        f"swept {report['points_swept']} {found}"
         f"{len(violations)} violation(s)"
     )
     for violation in violations:
@@ -931,8 +889,8 @@ _COMMANDS = {
     "search": _cmd_search,
     "query": _cmd_query,
     "reproduce": _cmd_reproduce,
-    "crashsweep": _cmd_crashsweep,
-    "faultsweep": _cmd_faultsweep,
+    "crashsweep": _cmd_sweep,
+    "faultsweep": _cmd_sweep,
     "blackbox": _cmd_blackbox,
 }
 

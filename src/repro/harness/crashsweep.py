@@ -24,27 +24,32 @@ The sweep is fully deterministic under a fixed seed: the same seed
 enumerates the same points, tears the same flushes the same way, and
 emits byte-identical JSON (no timestamps, sorted keys).  A JSON report
 summarizes points swept, recoveries by resume phase, violations (the
-sweep's exit status), and the mean simulated recovery cost.
+sweep's exit status), and the mean simulated recovery cost.  The
+bookkeeping and the black-box judge live in :mod:`repro.harness.sweep`.
 
 See docs/recovery.md for the fault model and the judging rules.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from repro.core.engine import EngineConfig, NTadocEngine, RunResult
+from repro.core.engine import EngineConfig, NTadocEngine
 from repro.core.recovery import RecoveryReport, recover_pool
 from repro.errors import CrashPoint, RecoveryError
+from repro.harness.sweep import (
+    Sweep,
+    canonical_result,
+    digest,
+    mean,
+    smoke_corpus,
+)
 from repro.nvm.device import DeviceProfile
 from repro.nvm.faults import FaultPlan, ReadCorruption, TornFlush
 from repro.nvm.memory import SimulatedClock, SimulatedMemory
 from repro.nvm.persist import PhasePersistence, TransactionLog
 from repro.nvm.pool import NvmPool
-from repro.sequitur import compress_files
 
 #: Phase-persistence flush schedule: after this many completed flushes,
 #: this phase marker is durable.  The engine's phase path emits exactly
@@ -118,88 +123,6 @@ class SweepConfig:
         )
 
 
-def _smoke_corpus():
-    """Small deterministic corpus with enough repetition to compress."""
-    phrase = (
-        "persistent memory analytics traverse the compressed dag "
-        "and count every word without decompression "
-    )
-    files = [
-        ("doc0.txt", (phrase + "alpha beta gamma ") * 5),
-        ("doc1.txt", (phrase + "beta gamma delta ") * 5),
-        ("doc2.txt", ("delta alpha " + phrase) * 5),
-    ]
-    return compress_files(files)
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {
-            str(k): _jsonable(v)
-            for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-        }
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, set):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, bytes):
-        return value.hex()
-    if isinstance(value, float):
-        return round(value, 9)
-    return value
-
-
-def canonical_result(value) -> str:
-    """Canonical JSON for bit-identical result comparison."""
-    return json.dumps(_jsonable(value), sort_keys=True)
-
-
-def _decode_blackbox(mem) -> tuple[dict | None, dict | None]:
-    """Decode the crashed image's flight recorder, fully uncharged.
-
-    Works on a throwaway copy of the post-crash image so neither the
-    clock nor the cache of the memory under test moves before recovery.
-    Returns ``(decoded, report)`` or ``(None, None)`` when the image has
-    no readable directory / no ``__flightrec__`` region.
-    """
-    from repro.nvm.flightrec import (
-        blackbox_report,
-        decode_device_image,
-        device_image,
-    )
-
-    decoded = decode_device_image(device_image(mem))
-    if decoded is None or not decoded["present"]:
-        return None, None
-    return decoded, blackbox_report(decoded, tail=8)
-
-
-def _blackbox_problem(decoded: dict, bb: dict, allowed) -> str | None:
-    """Judge one decoded ring against the black-box contract.
-
-    A single crash tears at most the one slot the cut landed in; the
-    surviving events must be chronologically consistent; and when a
-    legal checkpoint set is known, the ring's committed-phase view must
-    fall inside it (the same +-1-torn-flush window the marker gets).
-    """
-    damaged = sum(1 for r in decoded["records"] if r.kind != "event")
-    if damaged > 1:
-        return f"{damaged} torn/unknown slots; one crash tears at most one"
-    events = [r for r in decoded["records"] if r.kind == "event"]
-    seqs = [r.seq for r in events]
-    if seqs != sorted(set(seqs)):
-        return "event sequence numbers are not strictly increasing"
-    times = [r.sim_ns for r in events]
-    if any(b < a for a, b in zip(times, times[1:])):
-        return "event timestamps regress along the sequence"
-    if allowed is not None and bb["last_completed_phase"] not in allowed:
-        return (
-            f"committed-phase view {bb['last_completed_phase']!r} outside "
-            f"the legal checkpoint set {sorted(map(str, allowed))}"
-        )
-    return None
-
-
 def _expected_marker(completed_flushes: int) -> str | None:
     best = None
     for ordinal, name in _MARKER_AFTER_FLUSH.items():
@@ -213,72 +136,110 @@ def _completed_flushes_at_write(profiles, write_index: int) -> int:
     return sum(1 for p in profiles if p["writes_before"] < write_index)
 
 
-class _Sweep:
-    """One sweep run: accumulates points, recoveries, and violations."""
+def _small_pool(name: str, plan: FaultPlan | None = None):
+    """A fresh 256 KiB NVM device (armed with ``plan``) and its pool."""
+    mem = SimulatedMemory(
+        DeviceProfile.nvm(), 1 << 18, SimulatedClock(), name=name
+    )
+    if plan is not None:
+        mem.arm_faults(plan)
+    return mem, NvmPool(mem)
+
+
+def _tx_slots(pool: NvmPool) -> tuple[int, TransactionLog]:
+    """Zeroed data slots plus an undo log, made durable."""
+    data_off = pool.alloc_region("data", _TX_SLOTS * _TX_SLOT_BYTES)
+    pool.memory.fill(data_off, _TX_SLOTS * _TX_SLOT_BYTES)
+    log = TransactionLog(pool, capacity=4096)
+    pool.flush()  # directory + zeroed slots durable
+    return data_off, log
+
+
+class CrashSweep(Sweep):
+    """The crash sweep: its scenarios, recoveries and invariant triad."""
 
     def __init__(self, config: SweepConfig) -> None:
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.by_kind: dict[str, int] = {}
+        super().__init__(config, ("decoded", "absent", "torn_records"))
         self.resume_phases: dict[str, int] = {}
-        self.violations: list[dict] = []
         self.recovery_costs: list[float] = []
-        self.points = 0
-        self.blackbox = {"decoded": 0, "absent": 0, "torn_records": 0}
-        self.blackbox_sample: dict | None = None
 
-    # -- bookkeeping ----------------------------------------------------
-
-    def point(self, kind: str) -> None:
-        self.points += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-
-    def violation(self, scenario: str, kind: str, index, problem: str) -> None:
-        self.violations.append(
-            {
-                "scenario": scenario,
-                "kind": kind,
-                "index": index,
-                "problem": problem,
-            }
+    def report(self, **fields) -> dict:
+        return super().report(
+            recoveries=len(self.recovery_costs),
+            recoveries_by_resume_phase=self.resume_phases,
+            mean_recovery_ns=mean(self.recovery_costs),
+            result_digest=digest(self.reference_json),
+            **fields,
         )
 
-    def recovered(self, report: RecoveryReport) -> None:
-        self.recovery_costs.append(report.recovery_ns)
-        phase = report.resume_phase
-        self.resume_phases[phase] = self.resume_phases.get(phase, 0) + 1
+    # -- the crash-point skeleton ---------------------------------------
 
-    def restarted(self) -> None:
-        self.resume_phases["restart"] = self.resume_phases.get("restart", 0) + 1
+    def crash_point(self, scenario: str, kind: str, index, workload):
+        """Count a point, run ``workload`` until its armed crash point
+        fires, and cut the power.  Returns the wrecked device, or
+        ``None`` (a violation) when the crash point never fired."""
+        self.point(kind)
+        try:
+            workload()
+        except CrashPoint as exc:
+            mem = exc.memory
+        else:
+            self.violation(scenario, kind, index, "crash point did not fire")
+            return None
+        mem.disarm_faults()
+        mem.crash()
+        return mem
+
+    def tear(self, dirty_lines: int) -> TornFlush:
+        """A seeded torn-flush variant of a flush of ``dirty_lines``."""
+        return TornFlush(
+            order_seed=self.rng.randrange(1 << 30),
+            persisted_lines=self.rng.randint(0, max(dirty_lines, 1)),
+            partial_bytes=self.rng.randrange(0, 257, 8),
+        )
+
+    def recover(self, scenario, kind, index, mem, allow_restart: bool):
+        """``recover_pool`` on the wreckage.  ``None`` when it refused
+        the image: a restart where that is legal, else a violation."""
+        try:
+            return recover_pool(mem)
+        except RecoveryError as exc:
+            if allow_restart:
+                self.resume_phases["restart"] = (
+                    self.resume_phases.get("restart", 0) + 1
+                )
+            else:
+                self.violation(
+                    scenario, kind, index,
+                    f"recovery refused a recoverable image: {exc}",
+                )
+            return None
+
+    def recovered(self, phase: str, cost_ns: float) -> None:
+        self.recovery_costs.append(cost_ns)
+        self.resume_phases[phase] = self.resume_phases.get(phase, 0) + 1
 
     def check_blackbox(
         self, scenario: str, kind: str, index, mem, allowed, require: bool
     ) -> dict | None:
-        """Decode + judge the flight recorder at one crash point.
+        """Decode the crashed image's flight recorder and judge it.
 
-        ``require`` is True when the image is known recoverable (the
-        directory reached media), so an absent black box is a violation
-        there; ``allowed`` is the legal committed-phase set, or ``None``
-        to skip phase attribution.  Returns the report for sampling.
+        Decodes a throwaway copy of the post-crash image, fully
+        uncharged, so neither the clock nor the cache of the memory
+        under test moves before recovery.  One crash tears at most one
+        slot.
         """
-        decoded, bb = _decode_blackbox(mem)
-        if bb is None:
-            self.blackbox["absent"] += 1
-            if require:
-                self.violation(
-                    scenario, kind, index,
-                    "black box: flight recorder absent from a recoverable "
-                    "image",
-                )
-            return None
-        self.blackbox["decoded"] += 1
-        self.blackbox["torn_records"] += sum(
-            1 for r in decoded["records"] if r.kind != "event"
+        from repro.nvm.flightrec import decode_device_image, device_image
+
+        decoded = decode_device_image(device_image(mem))
+        if decoded is not None and decoded["present"]:
+            self.blackbox["decoded"] += 1
+            self.blackbox["torn_records"] += sum(
+                1 for r in decoded["records"] if r.kind != "event"
+            )
+        return self.judge_ring(
+            scenario, kind, index, decoded, 1, allowed, require
         )
-        problem = _blackbox_problem(decoded, bb, allowed)
-        if problem:
-            self.violation(scenario, kind, index, f"black box: {problem}")
-        return bb
 
     def _sample(self, total: int, count: int | None) -> list[int]:
         """1-based event ordinals to crash on: all, or a seeded sample."""
@@ -290,9 +251,9 @@ class _Sweep:
 
     # -- scenario 1: the engine pipeline --------------------------------
 
-    def run_engine_scenario(self) -> str:
+    def run_engine_scenario(self) -> None:
         cfg = self.config
-        corpus = self._corpus = _smoke_corpus()
+        corpus = self._corpus = smoke_corpus()
         engine = NTadocEngine(corpus, EngineConfig(kernels=cfg.kernels))
         counter = FaultPlan()
         reference = engine.run(self._task(), fault_plan=counter)
@@ -307,7 +268,6 @@ class _Sweep:
                 f"persistence, observed {len(profiles)}",
             )
         self._engine = engine
-        self._profiles = profiles
 
         for k in self._sample(counter.events["write"], cfg.engine_write_points):
             completed = _completed_flushes_at_write(profiles, k)
@@ -329,13 +289,7 @@ class _Sweep:
                 allow_restart=f <= 1,
             )
             for _ in range(cfg.torn_per_flush):
-                torn = TornFlush(
-                    order_seed=self.rng.randrange(1 << 30),
-                    persisted_lines=self.rng.randint(
-                        0, max(profile["dirty_lines"], 1)
-                    ),
-                    partial_bytes=self.rng.randrange(0, 257, 8),
-                )
+                torn = self.tear(profile["dirty_lines"])
                 self._engine_point(
                     "torn_flush",
                     (f, torn.order_seed),
@@ -360,7 +314,6 @@ class _Sweep:
                 allowed={_expected_marker(f - 1), _expected_marker(f)},
                 allow_restart=f <= 1,
             )
-        return self.reference_json
 
     def _task(self):
         from repro.analytics import task_by_name
@@ -375,34 +328,21 @@ class _Sweep:
         allowed: set,
         allow_restart: bool,
     ) -> None:
-        self.point(kind)
-        try:
-            self._engine.run(self._task(), fault_plan=plan)
-        except CrashPoint:
-            pass
-        else:
-            self.violation("engine", kind, index, "crash point did not fire")
+        mem = self.crash_point(
+            "engine", kind, index,
+            lambda: self._engine.run(self._task(), fault_plan=plan),
+        )
+        if mem is None:
             return
-        mem = plan.memory
-        mem.disarm_faults()
-        mem.crash()
         bb = self.check_blackbox(
             "engine", kind, index, mem, allowed, require=not allow_restart
         )
         if bb is not None and kind == "flush" and index == _ENGINE_FLUSHES:
             self.blackbox_sample = bb
-        try:
-            report = recover_pool(mem)
-        except RecoveryError as exc:
+        report = self.recover("engine", kind, index, mem, allow_restart)
+        if report is None:
             if not allow_restart:
-                self.violation(
-                    "engine",
-                    kind,
-                    index,
-                    f"recovery refused a recoverable image: {exc}",
-                )
                 return
-            self.restarted()
             resumed = self._engine.run(self._task())
         else:
             if report.last_completed_phase not in allowed:
@@ -416,7 +356,7 @@ class _Sweep:
                 return
             if not self._check_integrity(kind, index, report):
                 return
-            self.recovered(report)
+            self.recovered(report.resume_phase, report.recovery_ns)
             resumed = self._engine.run(self._task(), resume_from=report)
         resumed_json = canonical_result(resumed.result)
         if resumed_json != self.reference_json:
@@ -492,11 +432,7 @@ class _Sweep:
             dirty = next(
                 p["dirty_lines"] for p in profiles if p["flush"] == f
             )
-            torn = TornFlush(
-                order_seed=self.rng.randrange(1 << 30),
-                persisted_lines=self.rng.randint(0, max(dirty, 1)),
-                partial_bytes=self.rng.randrange(0, 257, 8),
-            )
+            torn = self.tear(dirty)
             allowed, restart_ok = judge_flush(f, torn=True)
             self._tx_point(
                 "tx_torn_flush",
@@ -537,16 +473,8 @@ class _Sweep:
         propagates without running ``abort()`` -- after power loss,
         nothing executes.
         """
-        clock = SimulatedClock()
-        mem = SimulatedMemory(
-            DeviceProfile.nvm(), 1 << 18, clock, name="txpool"
-        )
-        mem.arm_faults(plan)
-        pool = NvmPool(mem)
-        data_off = pool.alloc_region("data", _TX_SLOTS * _TX_SLOT_BYTES)
-        mem.fill(data_off, _TX_SLOTS * _TX_SLOT_BYTES)
-        log = TransactionLog(pool, capacity=4096)
-        pool.flush()  # directory + zeroed slots durable
+        mem, pool = _small_pool("txpool", plan)
+        data_off, log = _tx_slots(pool)
         self._tx_data_off = data_off
 
         def snap():
@@ -571,29 +499,15 @@ class _Sweep:
     def _tx_point(
         self, kind, index, plan, specs, states, allowed, restart_ok
     ) -> None:
-        self.point(kind)
-        try:
-            self._run_tx_workload(plan, specs)
-        except CrashPoint:
-            pass
-        else:
-            self.violation("tx", kind, index, "crash point did not fire")
+        mem = self.crash_point(
+            "tx", kind, index, lambda: self._run_tx_workload(plan, specs)
+        )
+        if mem is None:
             return
-        mem = plan.memory
-        mem.disarm_faults()
-        mem.crash()
-        try:
-            report = recover_pool(mem)
-        except RecoveryError as exc:
-            if not restart_ok:
-                self.violation(
-                    "tx", kind, index,
-                    f"recovery refused a recoverable image: {exc}",
-                )
-            else:
-                self.restarted()
+        report = self.recover("tx", kind, index, mem, restart_ok)
+        if report is None:
             return
-        self.recovered(report)
+        self.recovered(report.resume_phase, report.recovery_ns)
         max_records = max(len(spec) for spec in specs)
         if not 0 <= report.transactions_rolled_back <= max_records:
             self.violation(
@@ -646,13 +560,7 @@ class _Sweep:
             self._ingest_point("ingest_flush", f, FaultPlan("flush", f), pre, post)
         for _ in range(cfg.ingest_torn_points):
             profile = profiles[self.rng.randrange(len(profiles))]
-            torn = TornFlush(
-                order_seed=self.rng.randrange(1 << 30),
-                persisted_lines=self.rng.randint(
-                    0, max(profile["dirty_lines"], 1)
-                ),
-                partial_bytes=self.rng.randrange(0, 257, 8),
-            )
+            torn = self.tear(profile["dirty_lines"])
             self._ingest_point(
                 "ingest_torn_flush",
                 (profile["flush"], torn.order_seed),
@@ -665,11 +573,10 @@ class _Sweep:
     def _ingest_workload():
         """Segmented engine with 3 sealed segments and 2 tombstones,
         ready to compact.  Deterministic: every point replays it."""
-        from repro.core.engine import EngineConfig as _EngineConfig
         from repro.ingest import SegmentedEngine
 
         engine = SegmentedEngine(
-            _EngineConfig(), pool_bytes=1 << 24, seal_threshold_tokens=10**9
+            EngineConfig(), pool_bytes=1 << 24, seal_threshold_tokens=10**9
         )
         phrase = "segments seal and compact while queries keep running "
         for i in range(9):
@@ -683,19 +590,15 @@ class _Sweep:
     def _ingest_point(self, kind, index, plan: FaultPlan, pre, post) -> None:
         from repro.ingest import SegmentedEngine, canonical_json
 
-        self.point(kind)
         engine = self._ingest_workload()
-        engine.memory.arm_faults(plan)
-        try:
+
+        def compact():
+            engine.memory.arm_faults(plan)
             engine.compact()
-        except CrashPoint:
-            pass
-        else:
-            self.violation("ingest", kind, index, "crash point did not fire")
+
+        mem = self.crash_point("ingest", kind, index, compact)
+        if mem is None:
             return
-        mem = engine.memory
-        mem.disarm_faults()
-        mem.crash()
         # The segmented workload sealed (and flushed) segments before the
         # compaction started, so the black box must be recoverable here.
         self.check_blackbox(
@@ -720,10 +623,7 @@ class _Sweep:
                 "survived)",
             )
             return
-        self.recovery_costs.append(mem.clock.ns - start_ns)
-        self.resume_phases["ingest_reopen"] = (
-            self.resume_phases.get("ingest_reopen", 0) + 1
-        )
+        self.recovered("ingest_reopen", mem.clock.ns - start_ns)
         recovered = canonical_json(
             reopened.run_tasks(["word_count"]).rendered["word_count"]
         )
@@ -742,17 +642,11 @@ class _Sweep:
         self._corrupt_last_log_record()
         self._corrupt_phase_marker_slot()
 
-    def _interrupted_tx_pool(self):
+    @staticmethod
+    def _interrupted_tx_pool():
         """A pool whose log holds 3 durable records of an open tx."""
-        clock = SimulatedClock()
-        mem = SimulatedMemory(
-            DeviceProfile.nvm(), 1 << 18, clock, name="cpool"
-        )
-        pool = NvmPool(mem)
-        data_off = pool.alloc_region("data", _TX_SLOTS * _TX_SLOT_BYTES)
-        mem.fill(data_off, _TX_SLOTS * _TX_SLOT_BYTES)
-        log = TransactionLog(pool, capacity=4096)
-        pool.flush()
+        mem, pool = _small_pool("cpool")
+        data_off, log = _tx_slots(pool)
         tx = log.begin()
         for slot in range(3):
             tx.write(data_off + slot * 8, (0xA0 + slot).to_bytes(8, "little"))
@@ -826,11 +720,7 @@ class _Sweep:
     def _corrupt_phase_marker_slot(self) -> None:
         """A corrupt newest marker slot falls back to the other slot."""
         self.point("corruption")
-        clock = SimulatedClock()
-        mem = SimulatedMemory(
-            DeviceProfile.nvm(), 1 << 18, clock, name="mpool"
-        )
-        pool = NvmPool(mem)
+        mem, pool = _small_pool("mpool")
         phases = PhasePersistence(pool)
         pool.flush()
         phases.complete_phase("initialization")  # count 1 -> slot 1
@@ -862,40 +752,12 @@ class _Sweep:
 
 def run_sweep(config: SweepConfig | None = None) -> dict:
     """Run the full sweep; return the JSON-ready report dict."""
-    config = config or SweepConfig()
-    sweep = _Sweep(config)
-    reference_json = sweep.run_engine_scenario()
+    sweep = CrashSweep(config or SweepConfig())
+    sweep.run_engine_scenario()
     sweep.run_tx_scenario()
     sweep.run_ingest_scenario()
     sweep.run_corruption_scenario()
-    costs = sweep.recovery_costs
-    return {
-        "seed": config.seed,
-        "config": _jsonable(asdict(config)),
-        "points_swept": sweep.points,
-        "by_kind": _jsonable(sweep.by_kind),
-        "recoveries": len(costs),
-        "recoveries_by_resume_phase": _jsonable(sweep.resume_phases),
-        "mean_recovery_ns": round(sum(costs) / len(costs), 3) if costs else 0.0,
-        "blackbox": _jsonable(
-            {**sweep.blackbox, "sample": sweep.blackbox_sample}
-        ),
-        "violations": sweep.violations,
-        "result_digest": hashlib.sha256(
-            reference_json.encode("utf-8")
-        ).hexdigest()[:16],
-    }
+    return sweep.report()
 
 
-def render_report(report: dict) -> str:
-    """Byte-stable JSON rendering of a sweep report."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-__all__ = [
-    "SweepConfig",
-    "RunResult",
-    "canonical_result",
-    "render_report",
-    "run_sweep",
-]
+__all__ = ["CrashSweep", "SweepConfig", "run_sweep"]

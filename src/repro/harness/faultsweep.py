@@ -48,31 +48,20 @@ model and the judging rules.
 
 from __future__ import annotations
 
-import hashlib
-import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.analytics import task_by_name
-from repro.core.engine import EngineConfig, NTadocEngine, TaskFailure
-from repro.harness.crashsweep import (
-    _jsonable,
-    _smoke_corpus,
+from repro.core.engine import EngineConfig, NTadocEngine
+from repro.core.plan import PlanResult
+from repro.harness.sweep import (
+    Sweep,
     canonical_result,
-    render_report,
+    digest,
+    mean,
+    smoke_corpus,
 )
 from repro.nvm.faults import MEDIA_FAULT_KINDS, FaultPlan, MediaFault
 from repro.nvm.scrub import REMAP_REGION, SEAL_REGION
-
-#: Triad outcomes a point may legally land on (plus the bookkeeping
-#: buckets ``masked`` -- the armed fault never fired -- and ``latent`` --
-#: it fired on media the run never consumed, left for the scrub leg).
-OUTCOMES = (
-    "corrected",
-    "detected_recovered",
-    "quarantined_typed",
-    "masked",
-    "latent",
-)
 
 
 @dataclass(frozen=True)
@@ -152,44 +141,40 @@ class _ReadTrace:
             return
 
 
-class _FaultSweep:
-    """One sweep run: accumulates points, outcomes, and violations."""
+def _fault_fired(plan: FaultPlan) -> bool:
+    """Whether an armed fault reached the media (a dead line counts)."""
+    if plan.dead_lines:
+        return True
+    for fault in plan.media_faults:
+        if fault.kind == "bitflip":
+            fired = fault.applied
+        elif fault.kind == "stuck_line":
+            fired = bool(fault.stuck)
+        else:
+            fired = fault.healed or fault.fails < 1
+        if fired:
+            return True
+    return False
+
+
+class FaultSweep(Sweep):
+    """The media-fault sweep: its scenarios and the resilience triad."""
 
     def __init__(self, config: FaultSweepConfig) -> None:
-        self.config = config
-        self.rng = random.Random(config.seed)
-        self.corpus = _smoke_corpus()
-        self.points = 0
-        self.by_kind: dict[str, int] = {}
+        super().__init__(config, ("checked", "absent"))
+        self.corpus = smoke_corpus()
         self.outcomes: dict[str, int] = {}
-        self.violations: list[dict] = []
         self.recovery_extra_ns: list[float] = []
         self.scrub_latent_detected = 0
         self.scrub_failed_typed = 0
         self.reanalyzed_identical = 0
         self.reanalyze_failed_typed = 0
         self.reference_digests: dict[str, str] = {}
-        self.blackbox = {"checked": 0, "absent": 0}
-        self.blackbox_sample: dict | None = None
 
-    # -- bookkeeping ----------------------------------------------------
-
-    def point(self, kind: str) -> None:
-        self.points += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+    # -- the resilience triad -------------------------------------------
 
     def outcome(self, name: str) -> None:
         self.outcomes[name] = self.outcomes.get(name, 0) + 1
-
-    def violation(self, scenario: str, kind: str, index, problem: str) -> None:
-        self.violations.append(
-            {
-                "scenario": scenario,
-                "kind": kind,
-                "index": index,
-                "problem": problem,
-            }
-        )
 
     def recovered(self, scenario: str, kind: str, index, extra_ns: float) -> None:
         """A correct run that charged differently from the fault-free one:
@@ -203,185 +188,105 @@ class _FaultSweep:
                 f"{extra_ns:+.1f} ns against the fault-free run",
             )
 
+    def report(self, **fields) -> dict:
+        silent = [
+            v for v in self.violations if "SILENT WRONG ANSWER" in v["problem"]
+        ]
+        return super().report(
+            outcomes=self.outcomes,
+            scrub_latent_detected=self.scrub_latent_detected,
+            scrub_failed_typed=self.scrub_failed_typed,
+            reanalyzed_identical=self.reanalyzed_identical,
+            reanalyze_failed_typed=self.reanalyze_failed_typed,
+            mean_recovery_extra_ns=mean(self.recovery_extra_ns),
+            silent_wrong_answers=len(silent),
+            reference_digests=self.reference_digests,
+            **fields,
+        )
+
+    def classify(
+        self, scenario, kind, index, engine, plan, run, reference, ref_ns,
+        rerun: str | None = None,
+    ) -> None:
+        """Count one point and land its faulted run in the triad.
+
+        ``run`` executes the workload under ``plan`` and returns a solo
+        ``RunResult``/``TaskFailure`` or a fused ``PlanResult``;
+        ``reference`` maps each task to its fault-free canonical output
+        and ``ref_ns`` is the fault-free charge.  An untyped escape, a
+        lost task, or a failure without a damage kind is a violation; an
+        output that differs from the reference is a silent wrong answer.
+        Bit-identical output at identical cost is ``latent`` (the fault
+        fired on media the run never consumed, left for the scrub leg)
+        or ``masked`` (the armed fault never fired); at any other cost
+        it is a recovery.  Every point that lands in the triad then
+        faces the black-box check and, given a ``rerun`` task, the scrub
+        leg.
+        """
+        self.point(kind)
+        try:
+            out = run()
+        except Exception as exc:  # noqa: BLE001 -- escapes are the defect
+            self.violation(
+                scenario, kind, index,
+                f"untyped {type(exc).__name__} escaped the engine: {exc}",
+            )
+            return
+        if isinstance(out, PlanResult):
+            results, failures = out.results, out.failures
+        else:
+            results, failures = ([], [out]) if out.failed else ([out], [])
+        if len(results) + len(failures) != len(reference):
+            self.violation(
+                scenario, kind, index,
+                f"plan lost tasks: {len(results)} results + "
+                f"{len(failures)} failures != {len(reference)}",
+            )
+            return
+        for failure in failures:
+            if not failure.kind:
+                self.violation(
+                    scenario, kind, index,
+                    f"task {failure.task} failed without a damage kind",
+                )
+                return
+        for result in results:
+            if canonical_result(result.result) != reference[result.task]:
+                self.violation(
+                    scenario, kind, index,
+                    f"SILENT WRONG ANSWER: {result.task} output differs "
+                    "from the fault-free run",
+                )
+                return
+        if failures:
+            self.outcome("quarantined_typed")
+        elif out.total_ns == ref_ns:
+            self.outcome("latent" if _fault_fired(plan) else "masked")
+        else:
+            self.recovered(scenario, kind, index, out.total_ns - ref_ns)
+        self.check_blackbox(scenario, kind, index, engine)
+        if rerun is not None and self.config.reanalyze:
+            self._scrub_and_reanalyze(
+                engine, rerun, reference[rerun], kind, index
+            )
+
     def check_blackbox(self, scenario: str, kind: str, index, engine) -> None:
         """Judge the flight recorder after one media-faulted run.
 
         Unlike the crash sweep there is no power loss here, so the ring
-        is read live off the pool: it must be present, every slot must
-        decode as a fully-written event (a live ring can hold no torn
-        slots), and the surviving records must be chronologically
-        consistent.  The fault the point injected may or may not have
-        left fault events behind -- masked faults legally leave none.
+        is read live off the pool: it must be present and hold no torn
+        slots.  The fault the point injected may or may not have left
+        fault events behind -- masked faults legally leave none.
         """
-        from repro.nvm.flightrec import blackbox_report, decode_pool
+        from repro.nvm.flightrec import decode_pool
 
         state = engine.last_state
         if state is None:
             return
         self.blackbox["checked"] += 1
-        decoded = decode_pool(state.pool)
-        if decoded is None or not decoded["present"]:
-            self.blackbox["absent"] += 1
-            self.violation(
-                scenario, kind, index,
-                "black box: flight recorder absent after a run",
-            )
-            return
-        damaged = sum(1 for r in decoded["records"] if r.kind != "event")
-        if damaged:
-            self.violation(
-                scenario, kind, index,
-                f"black box: {damaged} torn/unknown slots in a live ring",
-            )
-            return
-        events = decoded["records"]
-        seqs = [r.seq for r in events]
-        times = [r.sim_ns for r in events]
-        if seqs != sorted(set(seqs)) or any(
-            b < a for a, b in zip(times, times[1:])
-        ):
-            self.violation(
-                scenario, kind, index,
-                "black box: event tail is not chronologically consistent",
-            )
-            return
+        bb = self.judge_ring(scenario, kind, index, decode_pool(state.pool), 0)
         if self.blackbox_sample is None:
-            self.blackbox_sample = blackbox_report(decoded, tail=8)
-
-    # -- shared machinery -----------------------------------------------
-
-    def _engine(self, track_wear: bool = False) -> NTadocEngine:
-        return NTadocEngine(
-            self.corpus,
-            EngineConfig(media_protect=True, track_wear=track_wear),
-        )
-
-    def _reference(self, engine: NTadocEngine, name: str):
-        """Fault-free run: reference output, time, read trace."""
-        trace = _ReadTrace()
-        plan = FaultPlan()
-        plan.on_read = trace
-        ref = engine.run(task_by_name(name), fault_plan=plan)
-        if ref.failed:
-            raise AssertionError(
-                f"fault-free reference run of {name} failed: {ref.error}"
-            )
-        return canonical_result(ref.result), ref.total_ns, trace
-
-    def _make_fault(self, kind: str, offset: int, span: int, ordinal: int,
-                    double_fail: bool = False) -> MediaFault:
-        """A seeded fault of ``kind`` aimed at read ``ordinal``'s bytes."""
-        if kind == "bitflip":
-            mask = bytes([self.rng.randrange(1, 256)])
-        elif kind == "stuck_line":
-            mask = bytes(
-                self.rng.randrange(1, 256)
-                for _ in range(min(max(span, 1), 4))
-            )
-        else:  # transient
-            mask = bytes(
-                self.rng.randrange(1, 256)
-                for _ in range(min(max(span, 1), 2))
-            )
-        fails = 2 if (double_fail and kind == "transient") else 1
-        return MediaFault(
-            kind, offset, mask, arm_read=ordinal - 1, fails=fails
-        )
-
-    @staticmethod
-    def _fault_fired(fault: MediaFault, plan: FaultPlan) -> bool:
-        if plan.dead_lines:
-            return True
-        if fault.kind == "bitflip":
-            return fault.applied
-        if fault.kind == "stuck_line":
-            return bool(fault.stuck)
-        return fault.healed or fault.fails < 1
-
-    # -- solo engine points ---------------------------------------------
-
-    def run_task_scenario(self, name: str) -> None:
-        """Every clean-read point of ``name`` gets a media fault."""
-        engine = self._engine()
-        ref_json, ref_ns, trace = self._reference(engine, name)
-        self.reference_digests[name] = hashlib.sha256(
-            ref_json.encode("utf-8")
-        ).hexdigest()[:16]
-        candidates = trace.reads
-        for i, (ordinal, offset, span) in enumerate(candidates):
-            kind = MEDIA_FAULT_KINDS[i % len(MEDIA_FAULT_KINDS)]
-            fault = self._make_fault(kind, offset, span, ordinal)
-            self._engine_point(
-                engine, name, ref_json, ref_ns, kind, ordinal, fault
-            )
-        self._second_kind_points(engine, name, ref_json, ref_ns, candidates)
-
-    def _second_kind_points(
-        self, engine, name, ref_json, ref_ns, candidates
-    ) -> None:
-        budget = self.config.second_kind_points // max(
-            len(self.config.tasks), 1
-        )
-        if not candidates or budget <= 0:
-            return
-        picks = [
-            candidates[self.rng.randrange(len(candidates))]
-            for _ in range(budget)
-        ]
-        for j, (ordinal, offset, span) in enumerate(picks):
-            # A different kind than the round-robin pass used there.
-            base = candidates.index((ordinal, offset, span))
-            shift = 1 + (j % (len(MEDIA_FAULT_KINDS) - 1))
-            kind = MEDIA_FAULT_KINDS[(base + shift) % len(MEDIA_FAULT_KINDS)]
-            fault = self._make_fault(
-                kind, offset, span, ordinal, double_fail=True
-            )
-            self._engine_point(
-                engine, name, ref_json, ref_ns, kind, ordinal, fault
-            )
-
-    def _engine_point(
-        self, engine, task_name, ref_json, ref_ns, kind, index, fault
-    ) -> None:
-        """One fault, one run, triad classification, scrub leg."""
-        self.point(kind)
-        plan = FaultPlan(media_faults=[fault])
-        task = task_by_name(task_name)
-        try:
-            out = engine.run(task, fault_plan=plan)
-        except Exception as exc:  # noqa: BLE001 -- escapes are the defect
-            self.violation(
-                "engine", kind, index,
-                f"untyped {type(exc).__name__} escaped run: {exc}",
-            )
-            return
-        fired = self._fault_fired(fault, plan)
-        if out.failed:
-            if not out.kind:
-                self.violation(
-                    "engine", kind, index,
-                    "task failure carries no damage kind",
-                )
-                return
-            self.outcome("quarantined_typed")
-        else:
-            got = canonical_result(out.result)
-            if got != ref_json:
-                self.violation(
-                    "engine", kind, index,
-                    "SILENT WRONG ANSWER: analytics output differs from "
-                    "the fault-free run",
-                )
-                return
-            if out.total_ns == ref_ns:
-                self.outcome("latent" if fired else "masked")
-            else:
-                self.recovered("engine", kind, index, out.total_ns - ref_ns)
-        self.check_blackbox("engine", kind, index, engine)
-        if self.config.reanalyze:
-            self._scrub_and_reanalyze(
-                engine, task_name, ref_json, kind, index
-            )
+            self.blackbox_sample = bb
 
     def _scrub_and_reanalyze(
         self, engine, task_name, ref_json, kind, index
@@ -441,13 +346,104 @@ class _FaultSweep:
             return
         self.reanalyzed_identical += 1
 
+    # -- shared machinery -----------------------------------------------
+
+    def _engine(self, track_wear: bool = False) -> NTadocEngine:
+        return NTadocEngine(
+            self.corpus,
+            EngineConfig(media_protect=True, track_wear=track_wear),
+        )
+
+    def _reference(self, engine: NTadocEngine, name: str):
+        """Fault-free run: reference outputs by task, time, read trace."""
+        trace = _ReadTrace()
+        plan = FaultPlan()
+        plan.on_read = trace
+        ref = engine.run(task_by_name(name), fault_plan=plan)
+        if ref.failed:
+            raise AssertionError(
+                f"fault-free reference run of {name} failed: {ref.error}"
+            )
+        return {name: canonical_result(ref.result)}, ref.total_ns, trace
+
+    def _make_fault(self, kind: str, offset: int, span: int, ordinal: int,
+                    double_fail: bool = False) -> MediaFault:
+        """A seeded fault of ``kind`` aimed at read ``ordinal``'s bytes."""
+        if kind == "bitflip":
+            mask = bytes([self.rng.randrange(1, 256)])
+        elif kind == "stuck_line":
+            mask = bytes(
+                self.rng.randrange(1, 256)
+                for _ in range(min(max(span, 1), 4))
+            )
+        else:  # transient
+            mask = bytes(
+                self.rng.randrange(1, 256)
+                for _ in range(min(max(span, 1), 2))
+            )
+        fails = 2 if (double_fail and kind == "transient") else 1
+        return MediaFault(
+            kind, offset, mask, arm_read=ordinal - 1, fails=fails
+        )
+
+    def _engine_point(
+        self, engine, name, reference, ref_ns, kind, index, fault
+    ) -> None:
+        """One fault under one solo run of ``name``, scrub leg after."""
+        plan = FaultPlan(media_faults=[fault])
+        self.classify(
+            "engine", kind, index, engine, plan,
+            lambda: engine.run(task_by_name(name), fault_plan=plan),
+            reference, ref_ns, rerun=name,
+        )
+
+    # -- solo engine points ---------------------------------------------
+
+    def run_task_scenario(self, name: str) -> None:
+        """Every clean-read point of ``name`` gets a media fault."""
+        engine = self._engine()
+        reference, ref_ns, trace = self._reference(engine, name)
+        self.reference_digests[name] = digest(reference[name])
+        candidates = trace.reads
+        for i, (ordinal, offset, span) in enumerate(candidates):
+            kind = MEDIA_FAULT_KINDS[i % len(MEDIA_FAULT_KINDS)]
+            fault = self._make_fault(kind, offset, span, ordinal)
+            self._engine_point(
+                engine, name, reference, ref_ns, kind, ordinal, fault
+            )
+        self._second_kind_points(engine, name, reference, ref_ns, candidates)
+
+    def _second_kind_points(
+        self, engine, name, reference, ref_ns, candidates
+    ) -> None:
+        budget = self.config.second_kind_points // max(
+            len(self.config.tasks), 1
+        )
+        if not candidates or budget <= 0:
+            return
+        picks = [
+            candidates[self.rng.randrange(len(candidates))]
+            for _ in range(budget)
+        ]
+        for j, (ordinal, offset, span) in enumerate(picks):
+            # A different kind than the round-robin pass used there.
+            base = candidates.index((ordinal, offset, span))
+            shift = 1 + (j % (len(MEDIA_FAULT_KINDS) - 1))
+            kind = MEDIA_FAULT_KINDS[(base + shift) % len(MEDIA_FAULT_KINDS)]
+            fault = self._make_fault(
+                kind, offset, span, ordinal, double_fail=True
+            )
+            self._engine_point(
+                engine, name, reference, ref_ns, kind, ordinal, fault
+            )
+
     # -- wear-death points ----------------------------------------------
 
     def run_wear_scenario(self) -> None:
         """Endurance limits drawn from the real wear histogram."""
         name = self.config.tasks[0]
         engine = self._engine(track_wear=True)
-        ref_json, ref_ns, trace = self._reference(engine, name)
+        reference, ref_ns, trace = self._reference(engine, name)
         wear = dict(trace.memory.wear or {})
         if not wear:
             self.violation(
@@ -469,52 +465,14 @@ class _FaultSweep:
                 if count >= self.config.wear_points:
                     return
                 count += 1
-                self.point("wear_death")
                 plan = FaultPlan(
                     wear_death=True, wear_limit=limit, wear_seed=seed
                 )
-                self._classify_wear_point(
-                    engine, name, ref_json, ref_ns, limit, seed, plan
+                self.classify(
+                    "wear", "wear_death", (limit, seed), engine, plan,
+                    lambda: engine.run(task_by_name(name), fault_plan=plan),
+                    reference, ref_ns, rerun=name,
                 )
-
-    def _classify_wear_point(
-        self, engine, name, ref_json, ref_ns, limit, seed, plan
-    ) -> None:
-        index = (limit, seed)
-        try:
-            out = engine.run(task_by_name(name), fault_plan=plan)
-        except Exception as exc:  # noqa: BLE001
-            self.violation(
-                "wear", "wear_death", index,
-                f"untyped {type(exc).__name__} escaped run: {exc}",
-            )
-            return
-        if out.failed:
-            if not out.kind:
-                self.violation(
-                    "wear", "wear_death", index,
-                    "task failure carries no damage kind",
-                )
-                return
-            self.outcome("quarantined_typed")
-        else:
-            got = canonical_result(out.result)
-            if got != ref_json:
-                self.violation(
-                    "wear", "wear_death", index,
-                    "SILENT WRONG ANSWER: analytics output differs from "
-                    "the fault-free run",
-                )
-                return
-            if out.total_ns == ref_ns:
-                self.outcome("latent" if plan.dead_lines else "masked")
-            else:
-                self.recovered("wear", "wear_death", index, out.total_ns - ref_ns)
-        self.check_blackbox("wear", "wear_death", index, engine)
-        if self.config.reanalyze:
-            self._scrub_and_reanalyze(
-                engine, name, ref_json, "wear_death", index
-            )
 
     # -- guard-infrastructure points ------------------------------------
 
@@ -522,7 +480,7 @@ class _FaultSweep:
         """Faults aimed at the guard's own on-media bookkeeping."""
         name = self.config.tasks[0]
         engine = self._engine()
-        ref_json, ref_ns, _ = self._reference(engine, name)
+        reference, ref_ns, _ = self._reference(engine, name)
         pool = engine.last_state.pool
         seal_off, seal_size = pool.get_region(SEAL_REGION)
         remap_off, remap_size = pool.get_region(REMAP_REGION)
@@ -540,7 +498,7 @@ class _FaultSweep:
             kind = kinds[(i // len(targets)) % len(kinds)]
             fault = self._make_fault(kind, offset, 4, ordinal=1)
             self._engine_point(
-                engine, name, ref_json, ref_ns, f"infra_{label}",
+                engine, name, reference, ref_ns, f"infra_{label}",
                 (kind, offset), fault,
             )
 
@@ -558,10 +516,9 @@ class _FaultSweep:
             raise AssertionError(
                 "fault-free fused reference run reported failures"
             )
-        ref_json = {
+        reference = {
             r.task: canonical_result(r.result) for r in ref_plan.results
         }
-        ref_ns = ref_plan.total_ns
         candidates = trace.reads
         if not candidates:
             self.violation(
@@ -574,96 +531,24 @@ class _FaultSweep:
             ]
             kind = MEDIA_FAULT_KINDS[i % len(MEDIA_FAULT_KINDS)]
             fault = self._make_fault(kind, offset, span, ordinal)
-            self._fused_point(
-                engine, tasks, ref_json, ref_ns, kind, ordinal, fault
+            plan = FaultPlan(media_faults=[fault])
+            self.classify(
+                "fused", f"fused_{kind}", ordinal, engine, plan,
+                lambda: engine.run_many(tasks, fault_plan=plan),
+                reference, ref_plan.total_ns,
             )
-
-    def _fused_point(
-        self, engine, tasks, ref_json, ref_ns, kind, index, fault
-    ) -> None:
-        self.point(f"fused_{kind}")
-        plan = FaultPlan(media_faults=[fault])
-        try:
-            out = engine.run_many(tasks, fault_plan=plan)
-        except Exception as exc:  # noqa: BLE001
-            self.violation(
-                "fused", kind, index,
-                f"untyped {type(exc).__name__} escaped run_many: "
-                f"{exc}",
-            )
-            return
-        if len(out.results) + len(out.failures) != len(tasks):
-            self.violation(
-                "fused", kind, index,
-                f"plan lost tasks: {len(out.results)} results + "
-                f"{len(out.failures)} failures != {len(tasks)}",
-            )
-            return
-        for failure in out.failures:
-            if not failure.kind:
-                self.violation(
-                    "fused", kind, index,
-                    f"sibling {failure.task} failed without a damage kind",
-                )
-                return
-        for run in out.results:
-            if canonical_result(run.result) != ref_json[run.task]:
-                self.violation(
-                    "fused", kind, index,
-                    f"SILENT WRONG ANSWER: sibling {run.task} differs from "
-                    "the fault-free fused run",
-                )
-                return
-        if out.failures:
-            self.outcome("quarantined_typed")
-        elif out.total_ns == ref_ns:
-            self.outcome(
-                "latent" if self._fault_fired(fault, plan) else "masked"
-            )
-        else:
-            self.recovered("fused", kind, index, out.total_ns - ref_ns)
-        self.check_blackbox("fused", kind, index, engine)
 
 
 def run_sweep(config: FaultSweepConfig | None = None) -> dict:
     """Run the full media-fault sweep; return the JSON-ready report."""
     config = config or FaultSweepConfig()
-    sweep = _FaultSweep(config)
+    sweep = FaultSweep(config)
     for name in config.tasks:
         sweep.run_task_scenario(name)
     sweep.run_wear_scenario()
     sweep.run_infra_scenario()
     sweep.run_fused_scenario()
-    extra = sweep.recovery_extra_ns
-    silent = [
-        v for v in sweep.violations if "SILENT WRONG ANSWER" in v["problem"]
-    ]
-    return {
-        "seed": config.seed,
-        "config": _jsonable(asdict(config)),
-        "points_swept": sweep.points,
-        "by_kind": _jsonable(sweep.by_kind),
-        "outcomes": _jsonable(sweep.outcomes),
-        "scrub_latent_detected": sweep.scrub_latent_detected,
-        "scrub_failed_typed": sweep.scrub_failed_typed,
-        "reanalyzed_identical": sweep.reanalyzed_identical,
-        "reanalyze_failed_typed": sweep.reanalyze_failed_typed,
-        "mean_recovery_extra_ns": (
-            round(sum(extra) / len(extra), 3) if extra else 0.0
-        ),
-        "silent_wrong_answers": len(silent),
-        "blackbox": _jsonable(
-            {**sweep.blackbox, "sample": sweep.blackbox_sample}
-        ),
-        "violations": sweep.violations,
-        "reference_digests": _jsonable(sweep.reference_digests),
-    }
+    return sweep.report()
 
 
-__all__ = [
-    "OUTCOMES",
-    "FaultSweepConfig",
-    "canonical_result",
-    "render_report",
-    "run_sweep",
-]
+__all__ = ["FaultSweep", "FaultSweepConfig", "run_sweep"]

@@ -1,9 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 from repro.sequitur import serialization
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -298,6 +302,20 @@ class TestWear:
         assert "unknown task(s): word_mangle" in capsys.readouterr().err
 
 
+class TestCrashsweep:
+    def test_smoke_sweep_matches_golden_report(self, tmp_path, capsys):
+        out = tmp_path / "crashsweep.json"
+        assert main(
+            ["crashsweep", "--smoke", "--out", str(out)]
+        ) == 0
+        captured = capsys.readouterr().out
+        assert "crash points" in captured
+        assert "0 violation(s)" in captured
+        assert out.read_bytes() == (
+            GOLDEN / "crashsweep_smoke.json"
+        ).read_bytes()
+
+
 class TestFaultsweep:
     def test_smoke_sweep_writes_report(self, tmp_path, capsys):
         out = tmp_path / "faultsweep.json"
@@ -313,6 +331,9 @@ class TestFaultsweep:
         report = json.loads(out.read_text())
         assert report["points_swept"] >= 200
         assert report["violations"] == []
+        assert out.read_bytes() == (
+            GOLDEN / "faultsweep_smoke.json"
+        ).read_bytes()
 
 
 class TestMetrics:

@@ -9,7 +9,8 @@ seed.
 
 import json
 
-from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
+from repro.harness.crashsweep import SweepConfig, run_sweep
+from repro.harness.sweep import render_report
 
 
 def reduced_config(seed=20240817):

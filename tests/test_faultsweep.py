@@ -10,12 +10,8 @@ bit-identical under a fixed seed.
 
 import json
 
-from repro.harness.faultsweep import (
-    FaultSweepConfig,
-    _FaultSweep,
-    render_report,
-    run_sweep,
-)
+from repro.harness.faultsweep import FaultSweep, FaultSweepConfig, run_sweep
+from repro.harness.sweep import render_report
 
 
 def reduced_config(seed=20240817):
@@ -43,7 +39,7 @@ class TestFaultSweep:
         assert report["mean_recovery_extra_ns"] > 0
 
     def test_recovery_charging_no_more_is_a_violation(self):
-        sweep = _FaultSweep(reduced_config())
+        sweep = FaultSweep(reduced_config())
         sweep.recovered("engine", "bitflip", 3, -13871.6)
         sweep.recovered("fused", "stuck_line", 4, 250.0)
         assert sweep.outcomes == {"detected_recovered": 2}

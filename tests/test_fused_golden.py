@@ -27,7 +27,7 @@ import pytest
 from repro.analytics import task_by_name
 from repro.core.engine import EngineConfig, NTadocEngine
 from repro.datasets import corpus_for
-from repro.harness.crashsweep import canonical_result
+from repro.harness.sweep import canonical_result
 
 GOLDEN = Path(__file__).parent / "golden" / "fused_runs.json"
 PROFILES = ("A", "B", "C", "D")

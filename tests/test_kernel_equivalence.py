@@ -46,7 +46,8 @@ from repro.core.traversal import (
 )
 from repro.datasets import corpus_for
 from repro.errors import CapacityError
-from repro.harness.crashsweep import SweepConfig, render_report, run_sweep
+from repro.harness.crashsweep import SweepConfig, run_sweep
+from repro.harness.sweep import render_report
 from repro.ingest import SegmentedEngine, synthetic_trace
 from repro.kernels import dagops, hashops
 from repro.nvm.allocator import PoolAllocator

@@ -15,7 +15,7 @@ import json
 
 from repro.analytics import task_by_name
 from repro.core.engine import EngineConfig, NTadocEngine
-from repro.harness.crashsweep import _smoke_corpus, canonical_result
+from repro.harness.sweep import canonical_result, smoke_corpus
 from repro.nvm.device import DeviceProfile
 from repro.nvm.faults import FaultPlan
 from repro.nvm.memory import SimulatedMemory
@@ -88,7 +88,7 @@ def _result_digest(result) -> str:
 
 
 def test_solo_trio_bit_identical_to_pre_pr():
-    corpus = _smoke_corpus()
+    corpus = smoke_corpus()
     for name in TRIO:
         engine = NTadocEngine(corpus, EngineConfig())
         plan = _CapturePlan()
@@ -101,7 +101,7 @@ def test_solo_trio_bit_identical_to_pre_pr():
 
 
 def test_fused_trio_bit_identical_to_pre_pr():
-    engine = NTadocEngine(_smoke_corpus(), EngineConfig())
+    engine = NTadocEngine(smoke_corpus(), EngineConfig())
     plan = _CapturePlan()
     outcome = engine.run_many([task_by_name(n) for n in TRIO], fault_plan=plan)
     assert outcome.total_ns == FUSED_BASELINE["total_ns"]

@@ -29,7 +29,7 @@ from repro.core.engine import EngineConfig, NTadocEngine
 from repro.core.recovery import recover_pool
 from repro.datasets.generator import CorpusSpec, generate_corpus_files
 from repro.errors import CrashPoint
-from repro.harness.crashsweep import canonical_result
+from repro.harness.sweep import canonical_result
 from repro.harness.runner import run_many_system
 from repro.nvm.faults import FaultPlan
 from repro.sequitur.compressor import compress_files
