@@ -67,7 +67,6 @@ class SweepConfig:
 
     Attributes:
         seed: Master seed; fixes point selection and every tear.
-        task: Analytics task driven through the engine scenario.
         engine_write_points: Write-event crash samples in the engine
             scenario (``None`` = every write event).
         engine_line_points: Mid-flush line-persist crash samples
@@ -92,7 +91,6 @@ class SweepConfig:
     """
 
     seed: int = 20240817
-    task: str = "word_count"
     engine_write_points: int | None = 64
     engine_line_points: int | None = 24
     torn_per_flush: int = 8
@@ -315,10 +313,11 @@ class CrashSweep(Sweep):
                 allow_restart=f <= 1,
             )
 
-    def _task(self):
+    @staticmethod
+    def _task():
         from repro.analytics import task_by_name
 
-        return task_by_name(self.config.task)
+        return task_by_name("word_count")
 
     def _engine_point(
         self,

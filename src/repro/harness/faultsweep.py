@@ -81,7 +81,6 @@ class FaultSweepConfig:
             (seal table, remap table, directory header).
         fused_points: Faults injected under a fused
             ``run_many`` plan; siblings must still complete.
-        reanalyze: Run the scrub + re-analyze leg after engine points.
     """
 
     seed: int = 20240817
@@ -90,7 +89,6 @@ class FaultSweepConfig:
     wear_points: int = 6
     infra_points: int = 9
     fused_points: int = 9
-    reanalyze: bool = True
 
     @staticmethod
     def smoke(seed: int = 20240817) -> "FaultSweepConfig":
@@ -265,7 +263,7 @@ class FaultSweep(Sweep):
         else:
             self.recovered(scenario, kind, index, out.total_ns - ref_ns)
         self.check_blackbox(scenario, kind, index, engine)
-        if rerun is not None and self.config.reanalyze:
+        if rerun is not None:
             self._scrub_and_reanalyze(
                 engine, rerun, reference[rerun], kind, index
             )

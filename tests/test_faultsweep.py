@@ -75,6 +75,5 @@ class TestFaultSweep:
     def test_smoke_config_meets_issue_floor(self):
         smoke = FaultSweepConfig.smoke()
         full = FaultSweepConfig.full()
-        assert smoke.reanalyze and full.reanalyze
         assert full.second_kind_points > smoke.second_kind_points
         assert full.wear_points > smoke.wear_points
