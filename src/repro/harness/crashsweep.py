@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.analytics import task_by_name
 from repro.core.engine import EngineConfig, NTadocEngine
 from repro.core.recovery import RecoveryReport, recover_pool
 from repro.errors import CrashPoint, RecoveryError
@@ -315,8 +316,6 @@ class CrashSweep(Sweep):
 
     @staticmethod
     def _task():
-        from repro.analytics import task_by_name
-
         return task_by_name("word_count")
 
     def _engine_point(

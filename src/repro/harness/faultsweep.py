@@ -169,7 +169,7 @@ class FaultSweep(Sweep):
         self.reanalyze_failed_typed = 0
         self.reference_digests: dict[str, str] = {}
 
-    # -- the resilience triad -------------------------------------------
+    # -- bookkeeping ----------------------------------------------------
 
     def outcome(self, name: str) -> None:
         self.outcomes[name] = self.outcomes.get(name, 0) + 1
@@ -200,6 +200,64 @@ class FaultSweep(Sweep):
             silent_wrong_answers=len(silent),
             reference_digests=self.reference_digests,
             **fields,
+        )
+
+    def check_blackbox(self, scenario: str, kind: str, index, engine) -> None:
+        """Judge the flight recorder after one media-faulted run.
+
+        Unlike the crash sweep there is no power loss here, so the ring
+        is read live off the pool: it must be present and hold no torn
+        slots.  The fault the point injected may or may not have left
+        fault events behind -- masked faults legally leave none.
+        """
+        from repro.nvm.flightrec import decode_pool
+
+        state = engine.last_state
+        if state is None:
+            return
+        self.blackbox["checked"] += 1
+        bb = self.judge_ring(scenario, kind, index, decode_pool(state.pool), 0)
+        if self.blackbox_sample is None:
+            self.blackbox_sample = bb
+
+    # -- shared machinery -----------------------------------------------
+
+    def _engine(self, track_wear: bool = False) -> NTadocEngine:
+        return NTadocEngine(
+            self.corpus,
+            EngineConfig(media_protect=True, track_wear=track_wear),
+        )
+
+    def _reference(self, engine: NTadocEngine, name: str):
+        """Fault-free run: reference outputs by task, time, read trace."""
+        trace = _ReadTrace()
+        plan = FaultPlan()
+        plan.on_read = trace
+        ref = engine.run(task_by_name(name), fault_plan=plan)
+        if ref.failed:
+            raise AssertionError(
+                f"fault-free reference run of {name} failed: {ref.error}"
+            )
+        return {name: canonical_result(ref.result)}, ref.total_ns, trace
+
+    def _make_fault(self, kind: str, offset: int, span: int, ordinal: int,
+                    double_fail: bool = False) -> MediaFault:
+        """A seeded fault of ``kind`` aimed at read ``ordinal``'s bytes."""
+        if kind == "bitflip":
+            mask = bytes([self.rng.randrange(1, 256)])
+        elif kind == "stuck_line":
+            mask = bytes(
+                self.rng.randrange(1, 256)
+                for _ in range(min(max(span, 1), 4))
+            )
+        else:  # transient
+            mask = bytes(
+                self.rng.randrange(1, 256)
+                for _ in range(min(max(span, 1), 2))
+            )
+        fails = 2 if (double_fail and kind == "transient") else 1
+        return MediaFault(
+            kind, offset, mask, arm_read=ordinal - 1, fails=fails
         )
 
     def classify(
@@ -268,23 +326,56 @@ class FaultSweep(Sweep):
                 engine, rerun, reference[rerun], kind, index
             )
 
-    def check_blackbox(self, scenario: str, kind: str, index, engine) -> None:
-        """Judge the flight recorder after one media-faulted run.
+    # -- solo engine points ---------------------------------------------
 
-        Unlike the crash sweep there is no power loss here, so the ring
-        is read live off the pool: it must be present and hold no torn
-        slots.  The fault the point injected may or may not have left
-        fault events behind -- masked faults legally leave none.
-        """
-        from repro.nvm.flightrec import decode_pool
+    def run_task_scenario(self, name: str) -> None:
+        """Every clean-read point of ``name`` gets a media fault."""
+        engine = self._engine()
+        reference, ref_ns, trace = self._reference(engine, name)
+        self.reference_digests[name] = digest(reference[name])
+        candidates = trace.reads
+        for i, (ordinal, offset, span) in enumerate(candidates):
+            kind = MEDIA_FAULT_KINDS[i % len(MEDIA_FAULT_KINDS)]
+            fault = self._make_fault(kind, offset, span, ordinal)
+            self._engine_point(
+                engine, name, reference, ref_ns, kind, ordinal, fault
+            )
+        self._second_kind_points(engine, name, reference, ref_ns, candidates)
 
-        state = engine.last_state
-        if state is None:
+    def _second_kind_points(
+        self, engine, name, reference, ref_ns, candidates
+    ) -> None:
+        budget = self.config.second_kind_points // max(
+            len(self.config.tasks), 1
+        )
+        if not candidates or budget <= 0:
             return
-        self.blackbox["checked"] += 1
-        bb = self.judge_ring(scenario, kind, index, decode_pool(state.pool), 0)
-        if self.blackbox_sample is None:
-            self.blackbox_sample = bb
+        picks = [
+            candidates[self.rng.randrange(len(candidates))]
+            for _ in range(budget)
+        ]
+        for j, (ordinal, offset, span) in enumerate(picks):
+            # A different kind than the round-robin pass used there.
+            base = candidates.index((ordinal, offset, span))
+            shift = 1 + (j % (len(MEDIA_FAULT_KINDS) - 1))
+            kind = MEDIA_FAULT_KINDS[(base + shift) % len(MEDIA_FAULT_KINDS)]
+            fault = self._make_fault(
+                kind, offset, span, ordinal, double_fail=True
+            )
+            self._engine_point(
+                engine, name, reference, ref_ns, kind, ordinal, fault
+            )
+
+    def _engine_point(
+        self, engine, name, reference, ref_ns, kind, index, fault
+    ) -> None:
+        """One fault under one solo run of ``name``, scrub leg after."""
+        plan = FaultPlan(media_faults=[fault])
+        self.classify(
+            "engine", kind, index, engine, plan,
+            lambda: engine.run(task_by_name(name), fault_plan=plan),
+            reference, ref_ns, rerun=name,
+        )
 
     def _scrub_and_reanalyze(
         self, engine, task_name, ref_json, kind, index
@@ -343,97 +434,6 @@ class FaultSweep(Sweep):
             )
             return
         self.reanalyzed_identical += 1
-
-    # -- shared machinery -----------------------------------------------
-
-    def _engine(self, track_wear: bool = False) -> NTadocEngine:
-        return NTadocEngine(
-            self.corpus,
-            EngineConfig(media_protect=True, track_wear=track_wear),
-        )
-
-    def _reference(self, engine: NTadocEngine, name: str):
-        """Fault-free run: reference outputs by task, time, read trace."""
-        trace = _ReadTrace()
-        plan = FaultPlan()
-        plan.on_read = trace
-        ref = engine.run(task_by_name(name), fault_plan=plan)
-        if ref.failed:
-            raise AssertionError(
-                f"fault-free reference run of {name} failed: {ref.error}"
-            )
-        return {name: canonical_result(ref.result)}, ref.total_ns, trace
-
-    def _make_fault(self, kind: str, offset: int, span: int, ordinal: int,
-                    double_fail: bool = False) -> MediaFault:
-        """A seeded fault of ``kind`` aimed at read ``ordinal``'s bytes."""
-        if kind == "bitflip":
-            mask = bytes([self.rng.randrange(1, 256)])
-        elif kind == "stuck_line":
-            mask = bytes(
-                self.rng.randrange(1, 256)
-                for _ in range(min(max(span, 1), 4))
-            )
-        else:  # transient
-            mask = bytes(
-                self.rng.randrange(1, 256)
-                for _ in range(min(max(span, 1), 2))
-            )
-        fails = 2 if (double_fail and kind == "transient") else 1
-        return MediaFault(
-            kind, offset, mask, arm_read=ordinal - 1, fails=fails
-        )
-
-    def _engine_point(
-        self, engine, name, reference, ref_ns, kind, index, fault
-    ) -> None:
-        """One fault under one solo run of ``name``, scrub leg after."""
-        plan = FaultPlan(media_faults=[fault])
-        self.classify(
-            "engine", kind, index, engine, plan,
-            lambda: engine.run(task_by_name(name), fault_plan=plan),
-            reference, ref_ns, rerun=name,
-        )
-
-    # -- solo engine points ---------------------------------------------
-
-    def run_task_scenario(self, name: str) -> None:
-        """Every clean-read point of ``name`` gets a media fault."""
-        engine = self._engine()
-        reference, ref_ns, trace = self._reference(engine, name)
-        self.reference_digests[name] = digest(reference[name])
-        candidates = trace.reads
-        for i, (ordinal, offset, span) in enumerate(candidates):
-            kind = MEDIA_FAULT_KINDS[i % len(MEDIA_FAULT_KINDS)]
-            fault = self._make_fault(kind, offset, span, ordinal)
-            self._engine_point(
-                engine, name, reference, ref_ns, kind, ordinal, fault
-            )
-        self._second_kind_points(engine, name, reference, ref_ns, candidates)
-
-    def _second_kind_points(
-        self, engine, name, reference, ref_ns, candidates
-    ) -> None:
-        budget = self.config.second_kind_points // max(
-            len(self.config.tasks), 1
-        )
-        if not candidates or budget <= 0:
-            return
-        picks = [
-            candidates[self.rng.randrange(len(candidates))]
-            for _ in range(budget)
-        ]
-        for j, (ordinal, offset, span) in enumerate(picks):
-            # A different kind than the round-robin pass used there.
-            base = candidates.index((ordinal, offset, span))
-            shift = 1 + (j % (len(MEDIA_FAULT_KINDS) - 1))
-            kind = MEDIA_FAULT_KINDS[(base + shift) % len(MEDIA_FAULT_KINDS)]
-            fault = self._make_fault(
-                kind, offset, span, ordinal, double_fail=True
-            )
-            self._engine_point(
-                engine, name, reference, ref_ns, kind, ordinal, fault
-            )
 
     # -- wear-death points ----------------------------------------------
 
