@@ -505,6 +505,51 @@ class TestND013SegmentOwnership:
         assert result.findings == []
 
 
+def _fence_cases():
+    """(rule, source, path, allowed) for every fenced name and allow-list
+    entry: each name sits once inside each allowed path and once outside."""
+    device_layer = (
+        "repro/nvm/memory.py",
+        "repro/nvm/trace.py",
+        "repro/nvm/flightrec.py",
+        "repro/kernels/bulk.py",
+    )
+    fences = [
+        ("ND001", "peek", "return mem.peek(0, 4)", device_layer),
+        ("ND001", "poke", "mem.poke(0, b'x')", device_layer),
+        ("ND001", "_buf", "return mem._buf[0]", device_layer),
+        ("ND007", "memoryview", "return memoryview(mem._buf)", device_layer),
+        ("ND012", "read_unverified", "return mem.read_unverified(0, 4)",
+         ("repro/nvm/pool.py",)),
+        ("ND012", "unverified_read", "return mem.unverified_read(0, 4)",
+         ("repro/nvm/pool.py",)),
+    ]
+    for method in ("create_segment", "segment_pool", "retire_segment"):
+        # Inside a transaction, so only the owner fence can fire.
+        body = f"with mem.transaction():\n        mem.{method}('seg000001')"
+        owners = ("repro/ingest/engine.py", "repro/nvm/pool.py")
+        fences.append(("ND013", method, body, owners))
+    outside = ("repro/core/engine.py", "repro/nvm/pool.py", "repro/ingest/engine.py")
+    for rule, name, body, allowed in fences:
+        source = f"def touch(mem):\n    {body}\n"
+        for path in allowed + tuple(p for p in outside if p not in allowed):
+            yield pytest.param(
+                rule, source, path, path in allowed, id=f"{rule}-{name}-{path}"
+            )
+
+
+class TestFenceAllowLists:
+    @pytest.mark.parametrize("rule,source,path,allowed", list(_fence_cases()))
+    def test_name_fenced_outside_its_allow_list(
+        self, tmp_path, rule, source, path, allowed
+    ):
+        target = tmp_path / path
+        target.parent.mkdir(parents=True)
+        target.write_text(source, encoding="utf-8")
+        fired = [f for f in lint_paths([target]).findings if f.rule == rule]
+        assert len(fired) == (0 if allowed else 1)
+
+
 class TestShippedTree:
     def test_src_tree_is_clean(self):
         result = lint_paths([REPO_ROOT / "src"])
