@@ -64,7 +64,7 @@ def test_true_positive_cases_carry_evidence(case, tmp_path):
             # The chain names each hop down to the origin marker event.
             assert " via " in finding.message
             assert ".py:" in finding.message
-        if finding.rule in ("ND010",):
+        if finding.rule in ("ND010", "ND014"):
             assert "at" in finding.message and ".py:" in finding.message
 
 
