@@ -272,3 +272,31 @@ def iteration_sites(tree: ast.AST):
         ):
             for comp in node.generators:
                 yield comp.iter, comp.iter
+
+
+# ----------------------------------------------------------------------
+# Transaction blocks (ND002, ND009, ND013)
+# ----------------------------------------------------------------------
+
+#: Sentinel distinguishing "not a transaction context" from "transaction
+#: context without an ``as`` target" (``None``).
+NOT_A_TX = "\x00not-a-transaction"
+
+
+def transaction_target(block: ast.With | ast.AsyncWith) -> str | None:
+    """The ``as`` name of the block's first ``.transaction()`` context.
+
+    ``None`` when that context binds no handle (nothing inside may
+    write), :data:`NOT_A_TX` when no item is a ``.transaction()`` call.
+    """
+    for item in block.items:
+        expr = item.context_expr
+        if (
+            isinstance(expr, ast.Call)
+            and isinstance(expr.func, ast.Attribute)
+            and expr.func.attr == "transaction"
+        ):
+            if isinstance(item.optional_vars, ast.Name):
+                return item.optional_vars.id
+            return None
+    return NOT_A_TX
