@@ -1,10 +1,19 @@
 """Rule registry.
 
 A rule is any object with an ``id``, a ``summary``, and a
-``check(module) -> Iterator[Finding]`` method.  Modules register their
-rule with the :func:`register` decorator; importing this package pulls in
-every built-in rule.  Adding a rule is therefore: drop a module in this
-package, decorate the class, import it below.
+``check(module) -> Iterator[Finding]`` method; importing this package
+pulls in every built-in rule.  Rules that share a mechanism are rows of
+one table, each registered with :func:`add_rule`:
+
+* :mod:`.fences` -- a name that only its owning modules may use
+  (ND001, ND007, ND012, ND013): a new fence is one ``Fence`` row;
+* :mod:`.obligations` -- a marker persisted with no flush before it
+  (ND005, ND006, ND008): a new obligation kind is one entry;
+* :mod:`.flows` -- a labelled value reaching a charging sink (ND010,
+  ND014): a new label kind is one entry.
+
+A check with its own mechanism is a module with one class, decorated
+with :func:`register` and imported below.
 """
 
 from __future__ import annotations
@@ -25,12 +34,16 @@ class Rule(Protocol):
 REGISTRY: dict[str, Rule] = {}
 
 
-def register(cls):
-    """Class decorator: instantiate the rule and add it to the registry."""
-    rule = cls()
+def add_rule(rule: Rule) -> None:
+    """Add a rule instance to the registry."""
     if rule.id in REGISTRY:
         raise ValueError(f"duplicate rule id {rule.id}")
     REGISTRY[rule.id] = rule
+
+
+def register(cls):
+    """Class decorator: instantiate the rule and add it to the registry."""
+    add_rule(cls())
     return cls
 
 
@@ -38,41 +51,30 @@ def all_rule_ids() -> list[str]:
     return sorted(REGISTRY)
 
 
-# Built-in rules (import order is registry order).
+# Built-in rules.
 from repro.lint.rules import (  # noqa: E402  (registry must exist first)
-    nd001_raw_access,
+    fences,
+    flows,
     nd002_unlogged_tx_write,
     nd003_nondeterminism,
     nd004_struct_width,
-    nd005_phase_order,
-    nd006_marker_order,
-    nd007_kernel_contract,
-    nd008_crosscall_order,
     nd009_tx_escape,
-    nd010_charging_taint,
     nd011_partition_race,
-    nd012_unverified_read,
-    nd013_segment_ownership,
-    nd014_metrics_taint,
+    obligations,
 )
 
 __all__ = [
     "REGISTRY",
     "Rule",
+    "add_rule",
     "all_rule_ids",
     "register",
-    "nd001_raw_access",
+    "fences",
+    "flows",
     "nd002_unlogged_tx_write",
     "nd003_nondeterminism",
     "nd004_struct_width",
-    "nd005_phase_order",
-    "nd006_marker_order",
-    "nd007_kernel_contract",
-    "nd008_crosscall_order",
     "nd009_tx_escape",
-    "nd010_charging_taint",
     "nd011_partition_race",
-    "nd012_unverified_read",
-    "nd013_segment_ownership",
-    "nd014_metrics_taint",
+    "obligations",
 ]
