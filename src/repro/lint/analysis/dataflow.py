@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 from repro.lint.analysis import spec
 from repro.lint.analysis.callgraph import CallSite
 from repro.lint.analysis.symbols import FunctionInfo
-from repro.lint.rules.common import dotted_name, is_set_expr, set_typed_locals
+from repro.lint.rules.common import dotted_name, is_set_expr
 
 #: Provenance chains are capped so cyclic call graphs cannot grow them
 #: forever (and so messages stay readable).
@@ -110,7 +110,6 @@ class TaintAnalysis:
         self.env: dict[str, frozenset[Label]] = dict(seeds)
         self._hits: dict[tuple, SinkHit] = {}
         self.return_labels: frozenset[Label] = EMPTY
-        self._set_locals = set_typed_locals(info.node)
 
     # -- public API ----------------------------------------------------
 
@@ -267,7 +266,7 @@ class TaintAnalysis:
     def _is_set_valued(self, node: ast.expr) -> bool:
         if is_set_expr(node):
             return True
-        return isinstance(node, ast.Name) and node.id in self._set_locals
+        return isinstance(node, ast.Name) and node.id in self.info.set_locals
 
     # -- calls ---------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,6 +99,14 @@ class FunctionInfo:
     @property
     def location(self) -> str:
         return f"{self.module.rel}:{getattr(self.node, 'lineno', 1)}"
+
+    @cached_property
+    def set_locals(self) -> set[str]:
+        """Local names unambiguously set-typed here, computed once: the
+        taint fixpoint re-analyses every function on each pass."""
+        from repro.lint.rules.common import set_typed_locals
+
+        return set_typed_locals(self.node)
 
     def own_nodes(self) -> Iterator[ast.AST]:
         """Every AST node in this function's body, excluding nested
