@@ -8,9 +8,9 @@ pass, and per-file counts are charged once instead of three times), and
 must not be slower in wall-clock either (it does strictly less host
 work).
 
-Measured numbers are recorded in ``BENCH_fused.json`` at the repo root,
-following the ``BENCH_batch.json`` pattern; CI uploads it as an
-artifact.
+Each run writes its measured numbers to ``BENCH_fused.json`` at the
+repo root (gitignored: the wall times depend on the host; CI uploads the
+file as an artifact).
 """
 
 from __future__ import annotations

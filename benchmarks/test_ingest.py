@@ -7,9 +7,9 @@ query per-segment, merge) must beat a non-incremental system (recompress
 the whole live corpus at every checkpoint, then query) by >= 3x in
 *simulated* time, while producing canonically identical results.
 
-Measured numbers are recorded in ``BENCH_ingest.json`` at the repo
-root, following the ``BENCH_fused.json`` pattern; CI uploads it as an
-artifact.
+Each run writes its measured numbers to ``BENCH_ingest.json`` at the
+repo root (gitignored: the wall times depend on the host; CI uploads the
+file as an artifact).
 """
 
 from __future__ import annotations

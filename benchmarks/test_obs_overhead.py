@@ -11,7 +11,9 @@ existed.  Tracing enabled may cost wall time (it snapshots device stats
 at every span boundary) but is bounded too, so profiling stays usable
 on every benchmark dataset.
 
-Measured wall times land in ``BENCH_obs.json`` at the repo root.
+Each run writes its measured wall times to ``BENCH_obs.json`` at the
+repo root (gitignored: the numbers depend on the host; CI uploads the
+file as an artifact).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ workload through both implementations, the batch path must stay
 decisively faster -- a regression here silently multiplies every
 benchmark's runtime.
 
-Measured wall times are recorded in ``BENCH_batch.json`` at the repo
-root so successive runs can be compared.
+Each run writes its measured wall times to ``BENCH_batch.json`` at the
+repo root (gitignored: the numbers depend on the host; CI uploads the
+file as an artifact).
 """
 
 from __future__ import annotations
