@@ -33,6 +33,11 @@ ND010  wall-clock/entropy/set-order value *flowing* into a charging
        sink (``advance``/``charge*``/``*_ns``), across calls
 ND011  parallel-worker writes outside the owned partition; shared
        mutable aggregation without a post-join merge
+ND012  unverified reads (``read_unverified``/``unverified_read``)
+       outside ``repro/nvm/``
+ND013  segment-extent calls outside the segment layer, or
+       ``retire_segment`` outside a ``transaction()`` block
+ND014  observability value *flowing* into a charging sink
 ====== =============================================================
 
 Run it as ``python -m repro.lint src/`` or ``ntadoc lint src/``.
