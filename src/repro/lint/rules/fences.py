@@ -227,6 +227,7 @@ def _walk(module: ModuleFile) -> Iterator[Finding]:
         qual.startswith("repro.kernels") for qual in module.import_table.values()
     )
     logged: set[int] = set()  # ids of calls inside a transaction block
+    packed: set[int] = set()  # ids of codec calls already reported
     for node in ast.walk(module.tree):
         # A walk reaches a with-statement before anything in its body.
         if isinstance(node, (ast.With, ast.AsyncWith)) and (
@@ -244,9 +245,11 @@ def _walk(module: ModuleFile) -> Iterator[Finding]:
             yield module.finding("ND013", node, _RETIRE_MESSAGE)
             replaced = "ND013"
         elif pack_loops and isinstance(node, (ast.For, ast.While)):
+            # A call inside nested loops is reported once, by the outermost.
             for sub in ast.walk(node):
                 name = _per_element_pack(sub)
-                if name is not None:
+                if name is not None and id(sub) not in packed:
+                    packed.add(id(sub))
                     yield module.finding(
                         "ND007", sub, _PACK_LOOP_MESSAGE.format(name=name)
                     )

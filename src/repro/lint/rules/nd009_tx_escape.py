@@ -84,6 +84,12 @@ def _bound_names(stmt: ast.stmt) -> set[str]:
         for sub in ast.walk(stmt.target):
             if isinstance(sub, ast.Name):
                 bound.add(sub.id)
+    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+        for item in stmt.items:
+            if item.optional_vars is not None:
+                for sub in ast.walk(item.optional_vars):
+                    if isinstance(sub, ast.Name):
+                        bound.add(sub.id)
     return bound
 
 
@@ -224,8 +230,16 @@ class TransactionEscape:
         live_handles = set(handles)
         tx_live = tx is not None
         for stmt in following:
+            bound = _bound_names(stmt)
             if tx_live:
-                for sub in ast.walk(stmt):
+                # A with-statement that rebinds the handle runs only its
+                # context expressions before the rebinding.
+                scanned = (
+                    [item.context_expr for item in stmt.items]
+                    if isinstance(stmt, (ast.With, ast.AsyncWith)) and tx in bound
+                    else [stmt]
+                )
+                for sub in (sub for part in scanned for sub in ast.walk(part)):
                     if (
                         isinstance(sub, ast.Name)
                         and isinstance(sub.ctx, ast.Load)
@@ -261,7 +275,6 @@ class TransactionEscape:
                         "post-commit mutations",
                     )
                     live_handles.discard(receiver)
-            bound = _bound_names(stmt)
             live_handles -= bound
             if tx is not None and tx in bound:
                 tx_live = False

@@ -12,14 +12,22 @@ The implementation mirrors the classic linked-symbol design of
 Nevill-Manning & Witten's reference implementation: each rule body is a
 circular doubly-linked list anchored on a guard node, and a hash index
 maps digrams to their (unique) location.  To keep per-symbol interpreter
-work small, every symbol caches its digram key at creation -- the token
-for a terminal, the :class:`_Rule` object for a nonterminal -- and a rule
+work small, every symbol caches its digram key -- the token for a
+terminal, the :class:`_Rule` object for a nonterminal -- and a rule
 is the guard node of its own body, keyed by the ``_GUARD`` sentinel, so
-guard tests are identity tests.  Index upkeep lives on :class:`Sequitur`,
-with the link rewrites of a substitution done straight-line, and root
-appends link the new tail directly: joining onto the root's guard can
-never evict or re-register a digram.  The decisions (hence the grammar)
-are pinned by golden ``freeze()`` digests in ``tests/test_sequitur.py``.
+guard tests are identity tests.
+
+Every repeat is found at the root's tail.  A push can only create the
+digram that ends at the new token; rewriting the *old* occurrence of a
+repeat installs a brand-new rule, whose digrams cannot repeat yet; so
+only the digram that ends at the tail's new reference can repeat next.
+The reference implementation's match/substitute recursion is therefore
+one loop in :meth:`Sequitur.push_all` that reduces the root's tail until
+its last digram is new.  The loop defers each new rule's body
+registration and each rule-utility check and runs them last-first when
+it ends, which is the order in which the recursion unwinds.  The
+decisions (hence the grammar) are pinned by golden ``freeze()`` digests
+in ``tests/test_sequitur.py``.
 
 Tokens are arbitrary hashable values; the TADOC pipeline feeds integer
 word ids plus unique per-file separator ids (which, being unique, never
@@ -99,23 +107,81 @@ class Sequitur:
         self.push_all((token,))
 
     def push_all(self, tokens: Iterable[Token]) -> None:
-        """Append a whole stream."""
+        """Append a whole stream.
+
+        Each token joins the root's tail, and only the digram it ends can
+        repeat an old one.  A repeat turns the tail's last two symbols into
+        one reference -- to the rule whose whole body the digram is, or to
+        a new rule once the old occurrence is rewritten -- and the loop goes
+        on with the digram that now ends at the tail.  The tail node is
+        rekeyed in place, so a push links exactly one node into the root.
+        Body registrations and rule-utility checks wait on ``pending`` and
+        run, last first, once the tail is settled.
+        """
         root = self._root
         index = self._index
         lookup = index.get
+        pending: list[tuple[_Rule, _Symbol | None]] = []
         pushed = 0
-        for token in tokens:
+        for key in tokens:
             last = root.prev
-            last.next = root.prev = _Symbol(token, last, root)
+            tail = last.next = root.prev = _Symbol(key, last, root)
             pushed += 1
-            if last is not root:
-                # Only the new digram (last, token) can repeat an old one.
-                digram = (last.key, token)
+            while last is not root:
+                last_key = last.key
+                digram = (last_key, key)
                 match = lookup(digram)
                 if match is None:
                     index[digram] = last
-                elif match.next is not last:  # overlaps are left alone
-                    self._process_match(last, match)
+                    break
+                if match.next is last:  # overlaps are left alone
+                    break
+                if match.prev.key is _GUARD and match.next.next.key is _GUARD:
+                    # The repeat is the entire body of an existing rule
+                    # (the guard before it is that rule).
+                    rule = match.prev
+                    pending.append((rule, None))
+                else:
+                    rule = self._new_rule()
+                    self._substitute(match, rule)
+                    pending.append((rule, match))
+                    # Moving an old occurrence that ends just before last
+                    # can leave this digram's run entry at last.
+                    if lookup(digram) is last:
+                        del index[digram]
+                # Turn "prev last tail" into "prev R": unlink last, rekey
+                # the tail.  The index upkeep is _substitute's with the
+                # guard after the tail.
+                prev = last.prev
+                prev_key = prev.key
+                if prev_key is not _GUARD:
+                    pair = (prev_key, last_key)
+                    if lookup(pair) is prev:
+                        del index[pair]
+                    # prev closes a run "x x": evicting "prev last" must
+                    # re-register "x x" when last or the tail is an x too.
+                    if prev_key == last_key or prev_key == key:
+                        prev_prev = prev.prev
+                        if prev_prev.key == prev_key:
+                            index[(prev_key, prev_key)] = prev_prev
+                if last_key.__class__ is _Rule:
+                    last_key.refcount -= 1
+                if key.__class__ is _Rule:
+                    key.refcount -= 1
+                prev.next = tail
+                tail.prev = prev
+                tail.key = key = rule
+                rule.refcount += 1
+                last = prev
+            while pending:
+                rule, first = pending.pop()
+                if first is not None:
+                    index[(first.key, first.next.key)] = first
+                # Rule utility: if the rule starts with a nonterminal whose
+                # rule has dropped to a single use, inline that rule.
+                head = rule.next
+                if head.key.__class__ is _Rule and head.key.refcount == 1:
+                    self._expand(rule, head)
         self.tokens_pushed += pushed
 
     # -- inspection ---------------------------------------------------------
@@ -187,43 +253,22 @@ class Sequitur:
 
     # -- the heart of the algorithm ----------------------------------------
 
-    def _process_match(self, symbol: _Symbol, match: _Symbol) -> None:
-        """The digram at ``symbol`` repeats an earlier one at ``match``."""
-        if match.prev.key is _GUARD and match.next.next.key is _GUARD:
-            # The matching digram is the entire body of an existing rule
-            # (the guard before it is that rule).
-            rule = match.prev
-            self._substitute(symbol, rule)
-        else:
-            # Create a new rule from copies of the digram, then replace both
-            # occurrences with references to it.
-            rule = self._new_rule()
-            first_key = symbol.key
-            second_key = symbol.next.key
-            first = _Symbol(first_key, rule, rule)
-            first.next = rule.prev = _Symbol(second_key, first, rule)
-            rule.next = first
-            if first_key.__class__ is _Rule:
-                first_key.refcount += 1
-            if second_key.__class__ is _Rule:
-                second_key.refcount += 1
-            self._substitute(match, rule)
-            self._substitute(symbol, rule)
-            self._index[(first_key, first.next.key)] = first
-        # Rule utility: if the (re)used rule starts with a nonterminal whose
-        # rule has dropped to a single use, inline that rule.
-        first = rule.next
-        if first.key.__class__ is _Rule and first.key.refcount == 1:
-            self._expand(first)
-
     def _substitute(self, symbol: _Symbol, rule: _Rule) -> None:
-        """Replace ``symbol`` and the next one with a reference to ``rule``,
-        then enforce digram uniqueness on the digrams around the reference.
+        """Replace the old occurrence ``symbol symbol.next`` of a repeated
+        digram with a reference to the brand-new ``rule``.
 
         Turning ``prev a b after`` into ``prev R after`` is three link
         rewrites -- unlink ``a``, unlink ``b``, insert ``R`` -- whose index
-        upkeep (see :meth:`_join` for the triple-repeat rule) is done here
-        straight-line, in the reference implementation's order.
+        upkeep is done here straight-line, in the reference implementation's
+        order.  In a run of three equal symbols only one of the two
+        overlapping digrams is indexed, so when a rewrite removes that entry
+        the surviving pair must be re-registered or a later repeat of the
+        digram would go undetected (e.g. the stream ``2 1 1 1 2 1 0 1 1``).
+
+        ``a`` and ``b`` become the rule's body, keeping their references,
+        so no refcount but the rule's changes.  No other symbol refers to
+        ``rule`` yet, so neither digram around the reference can repeat one
+        in the index.
         """
         index = self._index
         prev = symbol.prev
@@ -275,71 +320,38 @@ class Sequitur:
                     del index[digram]
                 if in_run and prev_prev_key == after_key:
                     index[(prev_prev_key, prev_key)] = prev_prev
-        if key.__class__ is _Rule:
-            key.refcount -= 1
-        if second_key.__class__ is _Rule:
-            second_key.refcount -= 1
         reference = prev.next = after.prev = _Symbol(rule, prev, after)
-        rule.refcount += 1
-        # Check the digram ending at the reference; only if that left the
-        # grammar unchanged, check the one starting at it.
+        rule.next = symbol
+        symbol.prev = rule
+        rule.prev = second
+        second.next = rule
+        rule.refcount = 1
         if prev_key is not _GUARD:
-            digram = (prev_key, rule)
-            match = index.get(digram)
-            if match is None:
-                index[digram] = prev
-            elif match.next is not prev:
-                self._process_match(prev, match)
-                return
+            index[(prev_key, rule)] = prev
         if after_key is not _GUARD:
-            digram = (rule, after_key)
-            match = index.get(digram)
-            if match is None:
-                index[digram] = reference
-            elif match.next is not reference:
-                self._process_match(reference, match)
+            index[(rule, after_key)] = reference
 
-    def _expand(self, symbol: _Symbol) -> None:
-        """Inline the single-use rule referenced by nonterminal ``symbol``."""
-        rule = symbol.key
-        left = symbol.prev
-        right = symbol.next
-        first = rule.next
-        last = rule.prev
-        index = self._index
-        if right.key is not _GUARD:
-            digram = (rule, right.key)
-            if index.get(digram) is symbol:
-                del index[digram]
-        self._rules.pop(rule.rule_id, None)
-        self._join(left, first)
-        self._join(last, right)
-        if right.key is not _GUARD:
-            index[(last.key, right.key)] = last
+    def _expand(self, rule: _Rule, head: _Symbol) -> None:
+        """Inline the single-use rule that ``rule``'s first symbol refers to.
 
-    def _join(self, left: _Symbol, right: _Symbol) -> None:
-        """Link two linked symbols, evicting the digram being rewritten.
-
-        The triple-repeat bookkeeping mirrors the reference implementation:
-        in a run of three equal symbols only one of the two overlapping
-        digrams is indexed, so when a deletion removes that entry the
-        surviving pair must be re-registered or a later repeat of the digram
-        would go undetected (e.g. the stream ``2 1 1 1 2 1 0 1 1``).
+        Both splices join a guard-delimited end of one body to the other,
+        so they break no run of equal symbols; only the digram after
+        ``head`` changes its first symbol.
         """
+        inner = head.key
+        right = head.next  # a rule body has two symbols or more
+        first = inner.next
+        last = inner.prev
+        del self._rules[inner.rule_id]
+        rule.next = first
+        first.prev = rule
+        last.next = right
+        right.prev = last
         index = self._index
-        key = right.key
-        if key is not _GUARD and key == right.prev.key == right.next.key:
-            index[(key, key)] = right
-        key = left.key
-        next_key = left.next.key
-        if key is not _GUARD and next_key is not _GUARD:
-            digram = (key, next_key)
-            if index.get(digram) is left:
-                del index[digram]
-            if key == left.prev.key == next_key:
-                index[(key, key)] = left.prev
-        left.next = right
-        right.prev = left
+        digram = (inner, right.key)
+        if index.get(digram) is head:
+            del index[digram]
+        index[(last.key, right.key)] = last
 
     # -- internals ----------------------------------------------------------
 

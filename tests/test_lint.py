@@ -429,6 +429,19 @@ class TestND007KernelContract:
         result = lint_source(tmp_path, self.PACK_LOOP_FIRING)
         assert rules_fired(result) == ["ND007"]
 
+    def test_nested_loops_report_a_pack_call_once(self, tmp_path):
+        source = (
+            "import struct\n"
+            "from repro.kernels import typed_array\n"
+            "def slow(mem, rows):\n"
+            "    for row in rows:\n"
+            "        while row:\n"
+            "            for w in row.pop():\n"
+            "                mem.write(0, struct.pack('<I', w))\n"
+        )
+        findings = lint_source(tmp_path, source).findings
+        assert [(f.rule, f.line) for f in findings] == [("ND007", 7)]
+
     def test_pack_loop_clean_without_kernel_import(self, tmp_path):
         source = self.PACK_LOOP_FIRING.replace(
             "from repro.kernels import typed_array\n", ""
@@ -460,6 +473,31 @@ class TestND007KernelContract:
         pkg.mkdir(parents=True)
         (pkg / "core.py").write_text(self.VIEW_FIRING, encoding="utf-8")
         assert lint_paths([pkg / "core.py"]).findings == []
+
+
+class TestND009TxEscape:
+    def test_second_block_rebinding_tx_resets_the_first(self, tmp_path):
+        source = (
+            "async def commit(log):\n"
+            "    async with log.transaction() as tx:\n"
+            "        tx.write(0, b'a')\n"
+            "    with log.transaction() as tx, open('f') as fh:\n"
+            "        tx.write(8, fh.read())\n"
+            "    return tx\n"
+        )
+        findings = lint_source(tmp_path, source).findings
+        assert [(f.rule, f.line) for f in findings] == [("ND009", 6)]
+
+    def test_use_in_the_rebinding_context_expression_still_fires(self, tmp_path):
+        source = (
+            "def commit(log):\n"
+            "    with log.transaction() as tx:\n"
+            "        tx.write(0, b'a')\n"
+            "    with tx.transaction() as tx:\n"
+            "        tx.write(8, b'b')\n"
+        )
+        findings = lint_source(tmp_path, source).findings
+        assert [(f.rule, f.line) for f in findings] == [("ND009", 4)]
 
 
 class TestND013SegmentOwnership:

@@ -148,12 +148,34 @@ def test_property_binary_streams(tokens):
     seq.check_invariants()
 
 
+@settings(max_examples=120, deadline=None)
+@given(tokens=st.lists(st.integers(0, 3), max_size=120), data=st.data())
+def test_property_split_pushes_match_one_push(tokens, data):
+    """push_all carries no state from one call to the next: any split of
+    a stream, down to one push per token, builds the same grammar."""
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(tokens)), max_size=8), label="cuts")
+    )
+    whole = build(tokens)
+    split = Sequitur()
+    for start, end in zip([0, *cuts], [*cuts, len(tokens)]):
+        split.push_all(tokens[start:end])
+    split.check_invariants()
+    single = Sequitur()
+    for token in tokens:
+        single.push(token)
+    assert split.freeze() == single.freeze() == whole.freeze()
+    assert split.tokens_pushed == single.tokens_pushed == len(tokens)
+
+
 # ---------------------------------------------------------------------------
 # Golden digests: Sequitur's decisions, pinned
 # ---------------------------------------------------------------------------
 #
-# Every digest below was captured from the linked-symbol implementation
-# that predates the cached-key representation.  Grammar inference is
+# Every digest below but GOLDEN_EDGE_STREAMS was captured from the
+# linked-symbol implementation that predates the cached-key representation;
+# GOLDEN_EDGE_STREAMS was captured from the recursive match/substitute
+# implementation that predates the tail loop.  Grammar inference is
 # deterministic, so any drift means Sequitur made a different decision
 # somewhere -- and a different grammar changes every downstream corpus,
 # pool image and simulated nanosecond.  These digests are the oracle; no
@@ -169,6 +191,7 @@ GOLDEN_CHARS = "451760eb3d8f4dd0"
 GOLDEN_SHARED_DICTIONARY = ("ee8cc92622fc75b5", "1abfe6929f747842")
 GOLDEN_TRIPLE_REPEAT = "3d2cb880e3f4de6b"
 GOLDEN_RANDOM_STREAMS = "baf6f9a1862a9640"
+GOLDEN_EDGE_STREAMS = "2d71a72f9fb51ac5"
 
 
 def _digest(value) -> str:
@@ -185,6 +208,24 @@ def _random_streams(count=200, seed=2024):
         alphabet = rng.randint(2, 30)
         length = rng.randint(0, 400)
         yield [rng.randrange(alphabet) for _ in range(length)]
+
+
+def _edge_streams():
+    """Streams outside ``_random_streams``' range (alphabets 2-30, at most
+    400 tokens), each driving a long chain of matches at the root's tail."""
+    rng = random.Random(26)
+    # One token 20,000 times: the deepest cascades of all.
+    yield [0] * 20_000
+    # A 40-token phrase 64 times: the last push reduces the root to two
+    # references of one rule, a match that reaches the root's first symbol.
+    yield list(range(100, 140)) * 64
+    # Ever-longer prefixes of one phrase: each new rule starts with the
+    # rule it extends, which drops to one use and is inlined at once.
+    yield [t for n in range(2, 90) for t in range(n)]
+    # A long binary stream and a long Zipf-like one over a wide alphabet.
+    yield [rng.randrange(2) for _ in range(6_000)]
+    weights = [1 / (r + 1) for r in range(2_000)]
+    yield rng.choices(range(2_000), weights=weights, k=12_000)
 
 
 class TestGoldenDigests:
@@ -221,3 +262,12 @@ class TestGoldenDigests:
             assert seq.expand() == tokens
             frozen.append(seq.freeze())
         assert _digest(frozen) == GOLDEN_RANDOM_STREAMS
+
+    def test_edge_streams(self):
+        frozen = []
+        for tokens in _edge_streams():
+            seq = build(tokens)
+            assert seq.expand() == tokens
+            seq.check_invariants()
+            frozen.append(seq.freeze())
+        assert _digest(frozen) == GOLDEN_EDGE_STREAMS
