@@ -248,17 +248,34 @@ class SimulatedMemory:
         # Anonymous mmap instead of bytearray: pages are zero on demand,
         # so creating a large device is O(1) instead of an eager memset.
         # Every access below uses exact-length slice reads/writes, which
-        # mmap supports identically.
+        # mmap supports identically.  The crash image is a second such
+        # mmap, and :meth:`crash` touches only the lines of its restore
+        # set, so neither map is ever faulted in as a whole.
         self._buf = mmap.mmap(-1, size)
         self._cache = LineCache(cache_bytes, profile.line_size)
         self._media_lines: set[int] = set()  # lines that ever reached media
         self._last_media_line: int | None = None
+        #: Lines dirtied since the last flush.  Every charged writer of
+        #: ``_buf`` registers its lines here (the kernels' inline stores
+        #: through a hoisted ``add``, so the set is mutated in place and
+        #: never replaced).
         self._dirty_lines: set[int] = set()
+        #: The rest of :meth:`crash`'s restore set: lines whose bytes may
+        #: differ from the crash image although they are not dirty.  Those
+        #: are lines stored uncharged (:meth:`_store`: ``poke`` outside the
+        #: flight recorder's window, sticky read corruption, media-fault
+        #: patches, a loaded file image on a volatile device), a detached
+        #: recorder's window, and -- on a volatile device, whose crash
+        #: image is all zeros -- every line a flush cleaned.  Only
+        #: :meth:`crash` empties it.
+        self._restore_lines: set[int] = set()
         #: Lines whose latest media program came from an eviction
         #: write-back; ``flush`` skips these in wear accounting so one
         #: logical program is never counted twice.
         self._evict_programmed: set[int] = set()
-        self._flushed_image: mmap.mmap | bytearray | None = None
+        #: The crash image of a persistent device; ``None`` until first
+        #: written, standing for all zeros.  A volatile device never has one.
+        self._flushed_image: mmap.mmap | None = None
         self._backing_path: Path | None = None
         #: Armed fault-injection plan (see repro.nvm.faults); None almost
         #: always -- every hook below is guarded by a None check so the
@@ -619,8 +636,9 @@ class SimulatedMemory:
 
         Returns the number of lines flushed.  For a persistent device this
         also updates the crash-recovery image incrementally (and the
-        backing file when one is attached).  Flushing a volatile device is
-        a no-op beyond clearing dirty tracking.
+        backing file when one is attached).  Flushing a volatile device
+        persists nothing: its lines leave dirty tracking for the restore
+        set, since its crash image stays all zeros.
         """
         # Sorted snapshot: per-line flush cost is order-independent, but a
         # deterministic (and physically sequential) write-back order keeps
@@ -651,20 +669,7 @@ class SimulatedMemory:
         self._evict_programmed.clear()
         self.stats.flush_ops += 1
         if self.profile.persistent:
-            if self._flushed_image is None:
-                self._flushed_image = mmap.mmap(-1, self.size)
-            line_size = self.profile.line_size
-            image = self._flushed_image
-            buf = self._buf
-            # One slice per run of contiguous dirty lines.
-            run_start = 0
-            for i in range(1, flushed + 1):
-                if i < flushed and dirty_lines[i] == dirty_lines[i - 1] + 1:
-                    continue
-                start = dirty_lines[run_start] * line_size
-                end = min((dirty_lines[i - 1] + 1) * line_size, self.size)
-                image[start:end] = buf[start:end]
-                run_start = i
+            self._persist(self._byte_runs(dirty_lines))
             recorder = self._flightrec
             if recorder is not None:
                 # The flight-recorder window rides this flush into the
@@ -672,15 +677,14 @@ class SimulatedMemory:
                 # writes are uncharged pokes), so this copy is invisible
                 # to flush charging and to the fault plan's accounting.
                 recorder.on_flush(self)
-                lo, hi = recorder.window
-                image[lo:hi] = self._buf[lo:hi]
+                self._persist([recorder.window])
+        else:
+            self._restore_lines.update(dirty_lines)
         cache_lines = self._cache._lines
         for line in dirty_lines:
             if line in cache_lines:
                 cache_lines[line] = False
         self._dirty_lines.clear()
-        if self.profile.persistent and self._backing_path is not None:
-            self._backing_path.write_bytes(bytes(self._flushed_image))
         self.flush_epoch += 1
         return flushed
 
@@ -710,23 +714,21 @@ class SimulatedMemory:
             cut_bytes = min((partial_bytes // unit) * unit, line_size)
         self._charge_flushed(len(persisted) + (1 if cut_bytes else 0))
         if profile.persistent:
-            if self._flushed_image is None:
-                self._flushed_image = mmap.mmap(-1, self.size)
-            image = self._flushed_image
-            already_programmed = self._evict_programmed
-            for line in persisted:
-                start = line * line_size
-                end = min(start + line_size, self.size)
-                image[start:end] = self._buf[start:end]
-                if line not in already_programmed:
-                    self._program_line(line)
+            size = self.size
+            spans = [
+                (line * line_size, min((line + 1) * line_size, size))
+                for line in persisted
+            ]
             if cut_bytes:
                 start = cut_line * line_size
-                end = min(start + cut_bytes, self.size)
-                if end > start:
-                    image[start:end] = self._buf[start:end]
-                if cut_line not in already_programmed:
-                    self._program_line(cut_line)
+                spans.append((start, min(start + cut_bytes, size)))
+            self._persist(spans)
+            already_programmed = self._evict_programmed
+            for line in persisted:
+                if line not in already_programmed:
+                    self._program_line(line)
+            if cut_bytes and cut_line not in already_programmed:
+                self._program_line(cut_line)
             recorder = self._flightrec
             if recorder is not None:
                 # Power died mid-flush: the recorder window persists only
@@ -736,9 +738,7 @@ class SimulatedMemory:
                 recorder.on_flush(self)
                 lo, hi = recorder.window
                 budget = len(persisted) * line_size + cut_bytes
-                hi = min(hi, lo + budget)
-                if hi > lo:
-                    image[lo:hi] = self._buf[lo:hi]
+                self._persist([(lo, min(hi, lo + budget))])
         plan.raise_torn(self, len(persisted))
 
     def crash(self) -> None:
@@ -747,11 +747,20 @@ class SimulatedMemory:
         A persistent device reverts to its last flushed image (or zeroes if
         it was never flushed); a volatile device loses everything.  The
         line cache is invalidated either way.
+
+        Only the restore set is rewritten: the dirty lines, the lines of
+        ``_restore_lines`` and the flight recorder's window.  Every other
+        line already holds its crash-image bytes, because every charged
+        writer of ``_buf`` registers its line in ``_dirty_lines`` and
+        every uncharged one goes through :meth:`poke` (inside this class,
+        :meth:`_store`).  So the result is byte for byte that of copying
+        the whole image, at a cost in lines written since the last crash
+        rather than in device size.
         """
-        if self.profile.persistent and self._flushed_image is not None:
-            self._buf[:] = self._flushed_image
-        else:
-            self._buf[:] = bytes(self.size)
+        image = self._flushed_image
+        buf = self._buf
+        for start, end in self._take_restore_runs():
+            buf[start:end] = image[start:end] if image is not None else bytes(end - start)
         self._cache.invalidate_all()
         self._dirty_lines.clear()
         self._evict_programmed.clear()
@@ -759,23 +768,40 @@ class SimulatedMemory:
         self.image_epoch += 1
 
     def attach_file(self, path: str | Path, load: bool = False) -> None:
-        """Attach a backing file that receives the image on every flush.
+        """Attach a backing file that holds a persistent device's crash image.
+
+        The file is sized to the device and written whole here, once;
+        from then on every write to the crash image (a flush's runs and
+        recorder window, a torn flush's persisted prefix) also lands at
+        its offset in the file.
 
         Args:
             path: Backing file location.
             load: When ``True`` and the file exists, load its contents as
                 the current (and flushed) image -- i.e. reopen a pool.
         """
-        self._backing_path = Path(path)
-        if load and self._backing_path.exists():
-            image = self._backing_path.read_bytes()
-            if len(image) > self.size:
+        path = Path(path)
+        self._backing_path = None  # a previous file receives nothing more
+        if load and path.exists():
+            data = path.read_bytes()
+            if len(data) > self.size:
                 raise InvalidAccessError(
-                    f"backing image ({len(image)} B) larger than device ({self.size} B)"
+                    f"backing image ({len(data)} B) larger than device ({self.size} B)"
                 )
-            self._buf[: len(image)] = image
-            self._flushed_image = bytearray(self._buf)
+            self._store(0, data)
+            if self.profile.persistent:
+                # The whole current state becomes the crash image.  Only
+                # the restore set, which now holds the loaded prefix, can
+                # differ from the old one.
+                self._persist(self._take_restore_runs())
             self.image_epoch += 1
+        self._backing_path = path
+        if self.profile.persistent:
+            with path.open("wb") as f:
+                if self._flushed_image is None:
+                    f.truncate(self.size)
+                else:
+                    f.write(self._flushed_image)
 
     @property
     def dirty_line_count(self) -> int:
@@ -825,9 +851,7 @@ class SimulatedMemory:
             if sticky:
                 # Poison the media image too: the corruption is a hard
                 # error, not a transient glitch, so re-reads see it.
-                self._buf[offset + rel : offset + rel + len(mask)] = out[
-                    rel : rel + len(mask)
-                ]
+                self._store(offset + rel, out[rel : rel + len(mask)])
         return bytes(out)
 
     def _media_read(self, offset: int, data: bytes) -> bytes:
@@ -841,7 +865,7 @@ class SimulatedMemory:
             offset, data, self._dirty_lines, self.profile.line_size
         )
         for abs_off, chunk in pokes:
-            self._buf[abs_off : abs_off + len(chunk)] = chunk
+            self._store(abs_off, chunk)
         return patched
 
     # ------------------------------------------------------------------
@@ -899,15 +923,22 @@ class SimulatedMemory:
         an all-zero image for a never-flushed device is behaviour-
         preserving: :meth:`crash` already zero-fills in that case.
         """
+        self.detach_flight_recorder()
         self._flightrec = recorder
         if recorder is not None and self.profile.persistent:
-            if self._flushed_image is None:
-                self._flushed_image = mmap.mmap(-1, self.size)
-            lo, hi = recorder.window
-            self._flushed_image[lo:hi] = self._buf[lo:hi]
+            self._persist([recorder.window])
 
     def detach_flight_recorder(self) -> None:
-        """Detach the flight recorder; the window stops persisting."""
+        """Detach the flight recorder; the window stops persisting.
+
+        Its window joins the restore set: pokes it took since the last
+        flush may differ from the crash image, and :meth:`crash` no
+        longer restores the window as a whole.
+        """
+        recorder = self._flightrec
+        if recorder is not None:
+            lo, hi = recorder.window
+            self._restore_lines.update(self.profile.lines_spanned(lo, hi - lo))
         self._flightrec = None
 
     def read_unverified(self, offset: int, size: int) -> bytes:
@@ -974,12 +1005,15 @@ class SimulatedMemory:
         """Write without charging cost.  For tests and image loading."""
         end = offset + len(data)
         self._check_range(offset, len(data))
-        self._buf[offset:end] = data
         recorder = self._flightrec
-        if recorder is None or not (
+        if recorder is not None and (
             recorder.window[0] <= offset and end <= recorder.window[1]
         ):
-            # The flight recorder's own window holds nothing else.
+            # The flight recorder's own window holds nothing else, and
+            # crash() restores it whole.
+            self._buf[offset:end] = data
+        else:
+            self._store(offset, data)
             self.image_epoch += 1
 
     # ------------------------------------------------------------------
@@ -992,6 +1026,67 @@ class SimulatedMemory:
                 f"{self.name}: access [{offset}, {offset + size}) outside "
                 f"device of {self.size} bytes"
             )
+
+    def _store(self, offset: int, data) -> None:
+        """Store ``data`` uncharged and add its lines to the restore set."""
+        size = len(data)
+        self._buf[offset : offset + size] = data
+        self._restore_lines.update(self.profile.lines_spanned(offset, size))
+
+    def _byte_runs(self, lines: list[int]) -> list[tuple[int, int]]:
+        """The ``(start, end)`` byte span of each run of consecutive ``lines``.
+
+        ``lines`` is ascending; spans are clipped to the device.
+        """
+        line_size = self.profile.line_size
+        n = len(lines)
+        runs = []
+        run_start = 0
+        for i in range(1, n + 1):
+            if i < n and lines[i] == lines[i - 1] + 1:
+                continue
+            runs.append(
+                (lines[run_start] * line_size, min((lines[i - 1] + 1) * line_size, self.size))
+            )
+            run_start = i
+        return runs
+
+    def _take_restore_runs(self) -> list[tuple[int, int]]:
+        """Empty :meth:`crash`'s restore set and return its byte runs.
+
+        The set is ``_restore_lines``, the dirty lines and the flight
+        recorder's window.  The dirty set is left as it is.
+        """
+        restore = self._restore_lines
+        restore.update(self._dirty_lines)
+        recorder = self._flightrec
+        if recorder is not None:
+            lo, hi = recorder.window
+            restore.update(self.profile.lines_spanned(lo, hi - lo))
+        runs = self._byte_runs(sorted(restore))
+        restore.clear()
+        return runs
+
+    def _persist(self, spans: list[tuple[int, int]]) -> None:
+        """Copy byte ``spans`` of the buffer into the crash image.
+
+        Creates the image (all zeros, as a never-flushed device's crash
+        image is) on first use, and writes each span at its offset in the
+        backing file when one is attached.
+        """
+        image = self._flushed_image
+        if image is None:
+            image = self._flushed_image = mmap.mmap(-1, self.size)
+        buf = self._buf
+        for start, end in spans:
+            image[start:end] = buf[start:end]
+        path = self._backing_path
+        if path is not None and spans:
+            with path.open("r+b") as f:
+                for start, end in spans:
+                    if end > start:
+                        f.seek(start)
+                        f.write(image[start:end])
 
     def _program_line(self, line: int) -> None:
         """Count one media program of ``line`` (endurance accounting).

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InvalidAccessError
+from repro.errors import CrashPoint, InvalidAccessError
 from repro.nvm.cache import LineCache
 from repro.nvm.device import DeviceProfile
+from repro.nvm.faults import FaultPlan, TornFlush
 from repro.nvm.memory import SimulatedClock, SimulatedMemory
 
 
@@ -383,6 +384,34 @@ class TestBackingFile:
         mem.write(0, b"scratch")
         mem.crash()  # loaded image must survive as the recovery point
         assert mem.read(0, 4) == b"head"
+
+    def test_file_holds_the_image_after_every_flush(self, tmp_path):
+        # The file is sized once at attach and then receives only the
+        # runs each flush persists, yet it always equals the image.
+        path = tmp_path / "pool.img"
+        mem = make_nvm(size=4096)
+        mem.write(0, b"before attach")
+        mem.flush()
+        mem.attach_file(path)
+        assert path.stat().st_size == 4096
+        for i in range(4):
+            mem.write(300 * i + 17, bytes([i + 1]) * 200)
+            mem.flush()
+            assert path.read_bytes() == mem.peek(0, 4096)
+        # A torn flush's persisted prefix reaches the file too.
+        mem.arm_faults(FaultPlan("flush", 1, torn=TornFlush(persisted_lines=1)))
+        mem.write(0, b"a" * 600)
+        with pytest.raises(CrashPoint):
+            mem.flush()
+        mem.crash()
+        mem.disarm_faults()
+        assert path.read_bytes() == mem.peek(0, 4096)
+        assert mem.peek(0, 256) == b"a" * 256
+        fresh = make_nvm(size=4096)
+        fresh.attach_file(path, load=True)
+        fresh.write(3000, b"reloaded")
+        fresh.flush()
+        assert path.read_bytes() == fresh.peek(0, 4096)
 
     def test_missing_image_load_is_noop(self, tmp_path):
         mem = make_nvm(size=4096)
