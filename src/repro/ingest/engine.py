@@ -640,18 +640,15 @@ class SegmentedEngine:
 
         Lazily rebuilds the pruned DAG after a reopen (the charged cost
         of coming back from a crash); otherwise the cached build is
-        reused and the fused plan skips the pool build entirely.
+        reused and the fused plan skips the pool build entirely.  The
+        rebuild writes over the pre-crash bytes of the extent: reopen
+        opened its nested pool as stale, so every allocation of the
+        rebuild and of later queries reads zero.
         """
         if dseg.pruned is None:
-            # Post-reopen rebuild: the extent may hold pre-crash query
-            # scratch above the structure regions, and plan execution
-            # assumes allocations return zeroed memory -- sanitize the
-            # whole extent (charged) before rebuilding into it.
             with obs.span(
                 "ingest:rebuild", category="ingest", segment=dseg.segment.name
             ):
-                off, size = self.pool.get_segment(dseg.segment.name)
-                self.memory.fill(off, size, 0)
                 dseg.pruned = self._build_segment_dag(
                     dseg.engine, dseg.pool, dseg.segment.corpus
                 )

@@ -14,6 +14,14 @@ difference between them:
 
 A small exact-size free list lets fixed-size records be recycled, which is
 enough for the reconstruction churn exercised by the naive baseline.
+
+Bump space below the allocator's *zero watermark* is known to hold zeros.
+An ordinary region starts with the watermark at its end: the device is
+zero until something allocates it.  A region that may hold a previous
+owner's bytes (a recycled or reopened segment extent) starts with the
+watermark at its base, and each bump allocation that passes it zeroes
+whole lines up to the allocation's line-aligned end, so only the lines
+the new owner uses are ever written.
 """
 
 from __future__ import annotations
@@ -59,8 +67,11 @@ class PoolAllocator:
         self.peak_bytes = 0
         self.alloc_count = 0
         #: Whether the most recent alloc() reused a freed block (reused
-        #: blocks contain stale data; virgin bump space is zero-filled).
+        #: blocks contain stale data; bump allocations read zero).
         self.last_alloc_reused = False
+        #: Bump space in ``[top, zero_watermark)`` is known zero; a bump
+        #: allocation reaching past it zero-fills whole lines first.
+        self.zero_watermark = base + capacity
 
     @property
     def top(self) -> int:
@@ -96,7 +107,13 @@ class PoolAllocator:
                 f"pool exhausted: need {size} B at {start}, region ends at "
                 f"{self.base + self.capacity}"
             )
-        self._top = start + size
+        end = start + size
+        if end > self.zero_watermark:
+            line_size = self.memory.profile.line_size
+            zero_end = min(_align_up(end, line_size), self.base + self.capacity)
+            self.memory.fill(self.zero_watermark, zero_end - self.zero_watermark, 0)
+            self.zero_watermark = zero_end
+        self._top = end
         self._note_alloc(size)
         return start
 
@@ -106,13 +123,6 @@ class PoolAllocator:
             raise ValueError("freeing block outside allocator region")
         self._free_lists.setdefault(size, []).append(offset)
         self.allocated_bytes -= size
-
-    def reset(self) -> None:
-        """Drop every allocation (does not clear memory contents)."""
-        self._top = self.base
-        self._free_lists.clear()
-        self.allocated_bytes = 0
-        self.alloc_count = 0
 
     def _note_alloc(self, size: int) -> None:
         self.allocated_bytes += size

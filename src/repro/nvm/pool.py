@@ -137,6 +137,11 @@ class NvmPool:
         #: leak (the allocator's bump pointer still covers them), which
         #: is safe -- a recycled-but-unrecorded extent would not be.
         self._free_extents: list[tuple[int, int]] = []
+        #: Offsets of extents that may hold a previous owner's bytes:
+        #: every extent :meth:`create_segment` recycled, and every extent
+        #: named by a loaded directory.  :meth:`segment_pool` zeroes
+        #: these lazily (see :mod:`repro.nvm.allocator`).
+        self._stale_extents: set[int] = set()
         self._arena_size = ((header_bytes - _ARENA_BASE) // 2) & ~7
         self._dir_seq = 0
         #: Sequence number last written to each arena (0 = never).
@@ -293,7 +298,9 @@ class NvmPool:
         allocator's bump frontier are scored by mean program count over
         their device lines, and the coldest wins (ties prefer reuse at
         the lowest offset).  Extents are line-aligned so a segment never
-        shares a device line with its neighbors.
+        shares a device line with its neighbors.  A recycled extent keeps
+        its previous owner's bytes; :meth:`segment_pool` zeroes them
+        lazily, as the new owner allocates.
 
         Raises:
             PoolLayoutError: if the pool is not segmented or ``name``
@@ -320,10 +327,9 @@ class NvmPool:
             frontier,
         ):
             extent = self._free_extents.pop(best_idx)
-            # Recycled media is dirty with the previous owner's bytes;
-            # nested-pool clients assume allocation hands back zeroed
-            # lines, so sanitize the whole extent (a charged write pass).
-            self.memory.fill(extent[0], extent[1], 0)
+            # The previous owner's bytes stay until the nested pool's
+            # bump allocations reach them (segment_pool).
+            self._stale_extents.add(extent[0])
         else:
             extent = (self.allocator.alloc(size, align), size)
         self._segments[name] = extent
@@ -368,11 +374,22 @@ class NvmPool:
         Nested pools are never themselves media-protected: the outer
         pool's :class:`~repro.nvm.scrub.MediaGuard` seals every dirty
         device line regardless of which pool wrote it.
+
+        On a stale extent (recycled, or named by a loaded directory) the
+        nested allocator's zero watermark starts at its base, so every
+        bump allocation reads zero while the untouched rest of the
+        extent keeps the old bytes.  The nested header is not zeroed:
+        nested directories are written but never loaded, because reopen
+        rebuilds every segment.  Code that loads one must first zero
+        both of its slots, or a stale slot may outrank the live one.
         """
         offset, size = self.get_segment(name)
-        return NvmPool(
+        nested = NvmPool(
             self.memory, header_bytes=header_bytes, base=offset, capacity=size
         )
+        if offset in self._stale_extents:
+            nested.allocator.zero_watermark = nested.allocator.base
+        return nested
 
     # ------------------------------------------------------------------
     # Directory persistence
@@ -558,7 +575,11 @@ class NvmPool:
         self._regions = regions
         self._segments = segments
         self._free_extents = []
-        self.allocator._top = max(top, self.allocator.base)
+        self._stale_extents = {offset for offset, _ in segments.values()}
+        alloc = self.allocator
+        alloc._top = max(top, alloc.base)
+        # Space below the restored top is owned, not known-zero bump space.
+        alloc.zero_watermark = max(alloc.zero_watermark, alloc._top)
         self._dir_seq = max(seqs)
         self._arena_seq = seqs
         # The loaded image is by definition on media: both arenas clean.

@@ -210,9 +210,10 @@ class PHashTable:
         """Allocate the status/key/value block; return its offset.
 
         Only the status buffer needs zeroing for correctness, and only
-        when the allocator handed back a *reused* block: virgin pool
-        space is already zero-filled (the calloc-from-fresh-pages
-        optimization every real allocator makes).
+        when the allocator handed back a *reused* block: bump space
+        reads zero (the calloc-from-fresh-pages optimization every real
+        allocator makes; see the zero watermark of
+        :mod:`repro.nvm.allocator`).
         """
         data_offset = allocator.alloc(capacity * _SLOT_BYTES)
         if allocator.last_alloc_reused:

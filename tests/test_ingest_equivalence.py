@@ -161,6 +161,67 @@ def test_crash_mid_compaction_resumes(make_config):
         _assert_differential(reopened)
 
 
+def _poison(mem, extents):
+    """Poke occupied status bytes and junk keys (word id 1, count 1) over
+    whole extents: what a previous owner's hash tables could leave."""
+    pattern = b"\x01" + bytes(7)
+    for off, size in extents:
+        mem.poke(off, (pattern * (size // len(pattern) + 1))[:size])
+
+
+@pytest.mark.parametrize(
+    "make_config",
+    [
+        CONFIGS[0],
+        # Without wear tracking, so that placement recycles extents.
+        pytest.param(lambda: EngineConfig(media_protect=True), id="media-protect"),
+        CONFIGS[2],
+    ],
+)
+def test_poisoned_stale_extents_match_recompress(make_config):
+    """Recycled and reopened extents hold poison, yet every checkpoint
+    equals ``recompress_baseline``: the rebuilds and queries read only
+    lines their bump allocations zeroed."""
+    eng = SegmentedEngine(make_config(), seal_threshold_tokens=10**9)
+    recycled = rebuilt = 0
+    n = 0
+    for round_no in range(1, 13):
+        for _ in range(3):
+            eng.append(*_doc(n))
+            n += 1
+        live = eng.corpus.live_doc_names()
+        eng.delete(live[round_no % len(live)])
+        poisoned = {off for off, _ in eng.pool._free_extents}
+        eng.seal()
+        new = eng._device[eng.corpus.segments[-1].name]
+        if eng.pool.get_segment(new.segment.name)[0] in poisoned:
+            recycled += 1
+            assert new.pool.allocator.zero_watermark > new.pool.allocator.base
+        if round_no % 4 == 0:
+            mem, arts, cfg = eng.memory, dict(eng.artifacts), eng.config
+            mem.crash()
+            eng = SegmentedEngine.reopen(
+                mem, arts, cfg, seal_threshold_tokens=10**9
+            )
+            _poison(mem, [eng.pool.get_segment(s) for s in eng.pool.segment_names()])
+        stale = [d for d in eng._device.values() if d.pruned is None]
+        res = eng.run_tasks(list(MERGEABLE_TASKS))
+        baseline, _ = eng.recompress_baseline(list(MERGEABLE_TASKS))
+        for task in MERGEABLE_TASKS:
+            assert canonical_json(res.rendered[task]) == canonical_json(
+                baseline[task]
+            ), (round_no, task)
+        for dseg in stale:
+            if dseg.segment.n_live:
+                rebuilt += 1
+                alloc = dseg.pool.allocator
+                assert alloc.base < alloc.zero_watermark < alloc.base + alloc.capacity
+        if round_no % 2 == 0:
+            eng.compact()
+            _poison(eng.memory, eng.pool._free_extents)
+    assert recycled and rebuilt, (recycled, rebuilt)
+
+
 def test_query_on_empty_corpus_raises():
     eng = SegmentedEngine(EngineConfig())
     with pytest.raises(ReproError):

@@ -78,13 +78,6 @@ class TestPoolAllocator:
         a2 = PoolAllocator(mem2, 0, 1 << 20, scatter=True, seed=7)
         assert [a1.alloc(16) for _ in range(10)] == [a2.alloc(16) for _ in range(10)]
 
-    def test_reset(self):
-        alloc = PoolAllocator(make_mem(), base=64, capacity=1024)
-        alloc.alloc(100)
-        alloc.reset()
-        assert alloc.top == 64
-        assert alloc.allocated_bytes == 0
-
     def test_region_bounds_validated(self):
         with pytest.raises(ValueError):
             PoolAllocator(make_mem(size=1024), base=0, capacity=2048)

@@ -2,9 +2,11 @@
 the manifest codec, and trace parsing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig
-from repro.errors import PoolLayoutError, ReproError
+from repro.errors import OutOfMemoryError, PoolLayoutError, ReproError
 from repro.ingest import SegmentedCorpus, SegmentedEngine
 from repro.ingest.trace import TraceOp, format_trace, parse_trace, synthetic_trace
 from repro.nvm.device import DeviceProfile
@@ -52,16 +54,29 @@ class TestSegmentedPool:
         with pytest.raises(PoolLayoutError):
             pool.create_segment("seg0", 1024)
 
-    def test_retired_extent_is_reused_and_sanitized(self):
+    def test_retired_extent_is_reused_and_zeroed_at_allocation(self):
         mem = _mem()
         pool = NvmPool(mem, segmented=True)
-        off = pool.create_segment("old", 4096)
-        mem.write(off, b"\xab" * 4096)
+        size = 1 << 14
+        off = pool.create_segment("old", size)
+        mem.write(off, b"\xab" * size)
         mem.flush()
         pool.retire_segment("old")
-        off2 = pool.create_segment("new", 4096)
-        assert off2 == off  # whole-extent reuse
-        assert mem.read(off2, 4096) == bytes(4096)  # recycled media zeroed
+        assert pool.create_segment("new", size) == off  # whole-extent reuse
+        nested = pool.segment_pool("new")
+        for i, n in enumerate((100, 300, 8, 1000)):
+            region = nested.alloc_region(f"r{i}", n)
+            assert mem.peek(region, n) == bytes(n)
+        line = mem.profile.line_size
+        zeroed_to = -(-nested.allocator.top // line) * line
+        assert nested.allocator.zero_watermark == zeroed_to
+        # The nested header and the untouched tail keep the old bytes.
+        assert mem.peek(off, nested.allocator.base - off) == b"\xab" * (
+            nested.allocator.base - off
+        )
+        assert mem.peek(zeroed_to, off + size - zeroed_to) == b"\xab" * (
+            off + size - zeroed_to
+        )
 
     def test_wear_aware_placement_prefers_cold_extent(self):
         mem = _mem(track_wear=True)
@@ -100,6 +115,100 @@ class TestSegmentedPool:
         again = pool.segment_pool("seg0")
         again.load_directory()
         assert again.get_region("inner") == (r, 256)
+
+
+_STALE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("alloc"),
+            st.integers(1, 1500),
+            st.sampled_from([1, 8, 64, 256, 512]),
+        ),
+        st.tuples(st.just("free"), st.integers(0, 63)),
+        st.tuples(st.just("crash"), st.booleans()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_STALE_OPS, garbage=st.binary(min_size=1, max_size=64))
+def test_stale_extent_allocations_read_zero(ops, garbage):
+    """Bump allocations from a stale extent read zero; nothing else moves.
+
+    A garbage-filled extent is recycled, then a random alloc/free/align
+    program runs in its nested pool, crashing (after an optional flush)
+    and reopening the outer pool wherever the program says.  Every
+    zeroing fill covers whole lines past the allocator's top and fetches
+    nothing; free-list reuse reports ``last_alloc_reused``; and the
+    extent holds exactly what a model of the owner's writes and the
+    fills predicts, so the untouched tail keeps the old owner's bytes.
+    """
+    mem = _mem(1 << 18)
+    line = mem.profile.line_size
+    size = 1 << 15
+    pool = NvmPool(mem, segmented=True)
+    off = pool.create_segment("old", size)
+    image = bytearray((garbage * (size // len(garbage) + 1))[:size])
+    mem.write(off, bytes(image))
+    pool.flush()
+    pool.retire_segment("old")
+    assert pool.create_segment("new", size) == off
+    pool.flush()
+    durable = bytes(image)
+    fills = []
+
+    def recording_fill(offset, n, value=0):
+        before = mem.stats.device_ns
+        SimulatedMemory.fill(mem, offset, n, value)
+        fills.append((offset, n, mem.stats.device_ns - before))
+        image[offset - off : offset - off + n] = bytes(n)
+
+    mem.fill = recording_fill
+
+    def open_nested():
+        nested = pool.segment_pool("new")
+        assert nested.allocator.zero_watermark == nested.allocator.base
+        return nested.allocator, [], {}
+
+    alloc, live, free_lists = open_nested()
+    for op in ops:
+        if op[0] == "alloc":
+            _, n, align = op
+            top, fills[:] = alloc.top, []
+            try:
+                got = alloc.alloc(n, align)
+            except OutOfMemoryError:
+                continue
+            expected = free_lists.get(n)
+            assert alloc.last_alloc_reused == bool(expected)
+            if expected:
+                assert got == expected.pop()
+                assert not fills
+            else:
+                assert mem.peek(got, n) == bytes(n)
+                for start, length, device_ns in fills:
+                    assert start >= top and start % line == 0
+                    assert length % line == 0 and device_ns == 0
+            stamp = bytes([len(live) % 255 + 1]) * n
+            mem.write(got, stamp)
+            image[got - off : got - off + n] = stamp
+            live.append((got, n))
+        elif op[0] == "free" and live:
+            got, n = live.pop(op[1] % len(live))
+            alloc.free(got, n)
+            free_lists.setdefault(n, []).append(got)
+        elif op[0] == "crash":
+            if op[1]:
+                pool.flush()
+                durable = bytes(image)
+            mem.crash()
+            image[:] = durable
+            pool = NvmPool(mem)
+            pool.load_directory()
+            alloc, live, free_lists = open_nested()
+        assert mem.peek(off, size) == bytes(image)
 
 
 class TestSegmentedCorpus:
