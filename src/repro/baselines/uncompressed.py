@@ -56,11 +56,6 @@ class UncompressedEngine:
         self._files = expanded_files(corpus)
         self._total_tokens = sum(len(f) for f in self._files)
 
-    @property
-    def uncompressed_bytes(self) -> int:
-        """On-disk size of the dictionary-encoded uncompressed data."""
-        return self._total_tokens * 4
-
     def run(self, task: AnalyticsTask) -> RunResult:
         config = self.config
         clock = SimulatedClock()

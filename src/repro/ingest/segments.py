@@ -265,16 +265,6 @@ class SegmentedCorpus:
     def n_tombstoned(self) -> int:
         return sum(len(s.tombstones) for s in self.segments)
 
-    def segment_bases(self) -> list[int]:
-        """Global doc index of each segment's first doc (tombstones
-        included -- global indices are positional, not live-relative)."""
-        bases = []
-        base = 0
-        for segment in self.segments:
-            bases.append(base)
-            base += segment.n_docs
-        return bases
-
     def total_tokens(self) -> int:
         """Token count over every live doc (compaction/recompress sizing)."""
         return sum(

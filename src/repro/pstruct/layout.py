@@ -1,7 +1,7 @@
 """Scalar packing helpers over a simulated memory.
 
-Thin wrappers around precompiled :mod:`struct` codecs so persistent
-structures read the same on every device.  All integers are little-endian.
+Fixed-width field accessors so persistent structures read the same on
+every device.  All integers are little-endian.
 """
 
 from __future__ import annotations
@@ -10,33 +10,13 @@ import struct
 
 from repro.nvm.memory import SimulatedMemory
 
-U8 = struct.Struct("<B")
-U16 = struct.Struct("<H")
-U32 = struct.Struct("<I")
-U64 = struct.Struct("<Q")
-I64 = struct.Struct("<q")
-F64 = struct.Struct("<d")
-
-
 # Scalar fields go through the memory's fused integer accessors, which
 # charge identically to read()/write() of the packed bytes but skip the
 # codec round-trip and (single-line case) the generic span pipeline.
 
 
-def read_u8(mem: SimulatedMemory, offset: int) -> int:
-    return mem.read_uint(offset, 1)
-
-
 def write_u8(mem: SimulatedMemory, offset: int, value: int) -> None:
     mem.write_uint(offset, 1, value)
-
-
-def read_u16(mem: SimulatedMemory, offset: int) -> int:
-    return mem.read_uint(offset, 2)
-
-
-def write_u16(mem: SimulatedMemory, offset: int, value: int) -> None:
-    mem.write_uint(offset, 2, value)
 
 
 def read_u32(mem: SimulatedMemory, offset: int) -> int:
@@ -53,14 +33,6 @@ def read_u64(mem: SimulatedMemory, offset: int) -> int:
 
 def write_u64(mem: SimulatedMemory, offset: int, value: int) -> None:
     mem.write_uint(offset, 8, value)
-
-
-def read_i64(mem: SimulatedMemory, offset: int) -> int:
-    return mem.read_uint(offset, 8, signed=True)
-
-
-def write_i64(mem: SimulatedMemory, offset: int, value: int) -> None:
-    mem.write_uint(offset, 8, value, signed=True)
 
 
 def read_u32_array(mem: SimulatedMemory, offset: int, count: int) -> list[int]:

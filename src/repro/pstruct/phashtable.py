@@ -549,14 +549,8 @@ class PHashTable:
     def _status_off(self, slot: int) -> int:
         return self._data_offset + slot
 
-    def _key_off(self, slot: int) -> int:
-        return self._data_offset + self._capacity + slot * 8
-
     def _value_off(self, slot: int) -> int:
         return self._data_offset + self._capacity * 9 + slot * 8
-
-    def _read_key(self, slot: int) -> int:
-        return self._mem.read_uint(self._key_off(slot), 8)
 
     def _read_value(self, slot: int) -> int:
         return self._mem.read_uint(self._value_off(slot), 8, signed=True)
