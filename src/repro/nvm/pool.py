@@ -297,10 +297,12 @@ class NvmPool:
         Placement is wear-aware: every retired extent that fits and the
         allocator's bump frontier are scored by mean program count over
         their device lines, and the coldest wins (ties prefer reuse at
-        the lowest offset).  Extents are line-aligned so a segment never
-        shares a device line with its neighbors.  A recycled extent keeps
-        its previous owner's bytes; :meth:`segment_pool` zeroes them
-        lazily, as the new owner allocates.
+        the lowest offset).  A frontier that cannot hold ``size`` is not
+        a candidate, so a full pool still reuses a worn extent.  Extents
+        are line-aligned so a segment never shares a device line with
+        its neighbors.  A recycled extent keeps its previous owner's
+        bytes; :meth:`segment_pool` zeroes them lazily, as the new owner
+        allocates.
 
         Raises:
             PoolLayoutError: if the pool is not segmented or ``name``
@@ -321,17 +323,18 @@ class NvmPool:
             key = (self._extent_mean_wear(off, sz), off)
             if best_key is None or key < best_key:
                 best_key, best_idx = key, idx
-        frontier = -(-self.allocator.top // align) * align
-        if best_key is not None and best_key <= (
-            self._extent_mean_wear(frontier, size),
-            frontier,
+        allocator = self.allocator
+        frontier = -(-allocator.top // align) * align
+        if best_key is not None and (
+            frontier + size > allocator.base + allocator.capacity
+            or best_key <= (self._extent_mean_wear(frontier, size), frontier)
         ):
             extent = self._free_extents.pop(best_idx)
             # The previous owner's bytes stay until the nested pool's
             # bump allocations reach them (segment_pool).
             self._stale_extents.add(extent[0])
         else:
-            extent = (self.allocator.alloc(size, align), size)
+            extent = (allocator.alloc(size, align), size)
         self._segments[name] = extent
         obs.op("pool:create_segment", self.memory.clock.ns - start)
         return extent[0]

@@ -91,6 +91,21 @@ class TestSegmentedPool:
         chosen = pool.create_segment("fresh", 4096)
         assert chosen == cold
 
+    def test_wear_aware_placement_reuses_worn_extent_when_frontier_is_full(self):
+        mem = _mem(size=1 << 16, track_wear=True)
+        pool = NvmPool(mem, segmented=True)
+        size = 4096
+        worn = pool.create_segment("worn", size)
+        for _ in range(50):  # any wear makes the unworn frontier score colder
+            mem.write(worn, b"x" * 256)
+            mem.flush()
+        pool.create_segment("filler", pool.allocator.remaining - size // 2)
+        assert pool.allocator.remaining < size
+        pool.retire_segment("worn")
+        assert pool.create_segment("fresh", size) == worn
+        with pytest.raises(OutOfMemoryError):
+            pool.create_segment("overflow", size)
+
     def test_v4_directory_survives_reopen(self):
         mem = _mem()
         pool = NvmPool(mem, segmented=True, media_protect=False)
