@@ -1,6 +1,5 @@
 """Benchmarks for the beyond-the-paper extensions.
 
-* parallel rule processing (G-TADOC-inspired level-synchronous workers);
 * write-endurance comparison (Section VII: N-TADOC "reduces the write
   operations on NVM ... to improve write endurance");
 * random access into compressed data (the TADOC line's ICDE'20 work).
@@ -10,7 +9,6 @@ from conftest import CACHE_DIR, once
 
 from repro.analytics import task_by_name
 from repro.core.dag import Dag
-from repro.core.parallel import parallel_weight_propagation
 from repro.core.pruning import PrunedDag
 from repro.core.random_access import RandomAccessor
 from repro.core.summation import summate_all
@@ -34,64 +32,6 @@ def _pruned_pool(corpus, track_wear=False, scatter=False, growable=False):
         per_rule=scatter,
     )
     return dag, pruned, pool
-
-
-def test_parallel_scaling(benchmark):
-    """Weight-propagation speedup vs worker count, two DAG shapes.
-
-    On a wide, shallow DAG (many sibling rules) level-synchronous workers
-    deliver real speedups.  On the realistic dataset-D grammar -- deep
-    and narrow, as template-heavy text produces -- rule-level parallelism
-    barely pays: each level is too small to amortize barriers.  That
-    *negative* result is itself faithful to the paper, which argues that
-    GPU-era TADOC parallelization "cannot be utilized efficiently by
-    NVMs"; the numbers here quantify why.
-    """
-    from repro.sequitur.compressor import compress_files
-
-    def sweep():
-        out = {}
-        # (a) wide synthetic DAG: 200 sibling paragraph rules.
-        paragraphs = [
-            " ".join(f"a{p}_{i} b{p}_{i} a{p}_{i} b{p}_{i}" for i in range(15))
-            for p in range(200)
-        ]
-        wide = compress_files(
-            [("wide", " ".join(p + " " + p for p in paragraphs))]
-        )
-        # (b) the realistic dataset D grammar.
-        deep = corpus_for("D", cache_dir=CACHE_DIR)
-        for label, corpus in (("wide", wide), ("dataset D", deep)):
-            rows = []
-            for workers in (1, 2, 4, 8):
-                dag, pruned, pool = _pruned_pool(corpus)
-                levels = dag.topological_levels()
-                report = parallel_weight_propagation(
-                    pruned, pool.allocator, levels, workers=workers
-                )
-                rows.append((workers, report))
-            out[label] = rows
-        return out
-
-    results = once(benchmark, sweep)
-    print()
-    for label, rows in results.items():
-        print(
-            format_table(
-                ["Workers", "Elapsed (sim us)", "Speedup"],
-                [
-                    [w, f"{r.parallel_ns / 1e3:.1f}", f"{r.speedup:.2f}x"]
-                    for w, r in rows
-                ],
-                title=f"Extension: parallel weight propagation ({label})",
-            )
-        )
-    wide = {w: r.speedup for w, r in results["wide"]}
-    deep = {w: r.speedup for w, r in results["dataset D"]}
-    # The mechanism works where width exists...
-    assert wide[4] > 1.5
-    # ...and realistic deep grammars cap out early -- the paper's point.
-    assert max(deep.values()) < wide[4]
 
 
 def test_endurance_footprint(benchmark):

@@ -2,8 +2,9 @@
 
 Walks through the mechanisms that make the reproduction's numbers move:
 device cost tables, cache locality, access amplification, persistence
-cost, trace replay across architectures, and wear accounting.  Useful
-for understanding *why* the figure benchmarks behave as they do.
+cost and wear accounting.  Useful for understanding *why* the figure
+benchmarks behave as they do.  To run a workload on one of the §VI-F
+ReRAM/PCM profiles, pass ``EngineConfig(device="reram")`` (or ``"pcm"``).
 
 Run with::
 
@@ -12,7 +13,6 @@ Run with::
 
 from repro.nvm.device import DeviceProfile
 from repro.nvm.memory import SimulatedMemory
-from repro.nvm.trace import record_trace, replay_trace
 from repro.nvm.wear import wear_report
 
 
@@ -56,21 +56,7 @@ def main() -> None:
     print(f"512 writes, flush each time: {eager.clock.ns:9.0f} ns "
           f"({eager.clock.ns / lazy.clock.ns:.1f}x)")
 
-    show("4. trace replay across architectures (the migration method)")
-    source = SimulatedMemory(nvm, 1 << 20)
-    with record_trace(source) as trace:
-        for i in range(200):
-            source.write((i * 2053) % ((1 << 20) - 64), b"y" * 64)
-        for i in range(400):
-            source.read((i * 4099) % ((1 << 20) - 64), 64)
-        source.flush()
-    print(f"captured {len(trace)} events "
-          f"({trace.bytes_read} B read, {trace.bytes_written} B written)")
-    for name in ("dram", "reram", "nvm", "pcm"):
-        replayed = replay_trace(trace, DeviceProfile.by_name(name))
-        print(f"  replayed on {name:6s}: {replayed.ns:9.0f} ns")
-
-    show("5. endurance accounting (Section VII)")
+    show("4. endurance accounting (Section VII)")
     worn = SimulatedMemory(nvm, 1 << 20, track_wear=True)
     for round_number in range(50):
         worn.write(0, bytes([round_number]) * 256)     # hot line

@@ -72,7 +72,8 @@ class EngineConfig:
     """Configuration of one engine run.
 
     Attributes:
-        device: Pool device profile name ("nvm", "dram", "ssd", "hdd").
+        device: Pool device profile name ("nvm", "dram", "reram", "pcm",
+            "ssd", "hdd").
         persistence: "phase" (flush at phase ends), "operation" (commit
             marker + flush after every logical operation), or "none".
         traversal: "auto" lets the Section VI-E rule pick the per-file

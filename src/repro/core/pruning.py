@@ -348,10 +348,10 @@ class PrunedDag:
         """Empty the cache for the current epoch if it may serve at all.
 
         The cache serves only while ``mem.kernel_ready`` holds (no fault
-        plan, trace recorder or integrity mirror, not a reference
-        memory).  The memory bumps ``image_epoch`` whenever that stops
-        holding or its image changes outside the charged write path, so
-        an unchanged epoch proves the cache current.
+        plan or integrity mirror, not a reference memory).  The memory
+        bumps ``image_epoch`` whenever that stops holding or its image
+        changes outside the charged write path, so an unchanged epoch
+        proves the cache current.
         """
         mem = self._mem
         if self.indexed_layout or not mem.kernel_ready:

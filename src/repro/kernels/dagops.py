@@ -43,8 +43,8 @@ closed form up to the step that crosses, that step one add at a time,
 and the rest in closed form again
 (:meth:`~repro.nvm.memory.SimulatedClock.advance_steps`).
 
-Every caller guarantees ``mem.kernel_ready`` (no fault plan, trace
-recorder or integrity mirror, not a reference memory).
+Every caller guarantees ``mem.kernel_ready`` (no fault plan or
+integrity mirror, not a reference memory).
 """
 
 from __future__ import annotations

@@ -32,9 +32,9 @@ lines of its scan are the host mirror :func:`warm_merge` serves the
 per-file merges from while every line they read is cached.
 
 Callers guarantee ``mem.kernel_ready`` (not a reference memory, no fault
-plan, trace recorder or integrity mirror), a non-growable table (the
-naive baseline keeps faithful scalar costs) and a line size above 8
-bytes, so an 8-byte field is never a whole-line write.  The Hypothesis
+plan or integrity mirror), a non-growable table (the naive baseline
+keeps faithful scalar costs) and a line size above 8 bytes, so an 8-byte
+field is never a whole-line write.  The Hypothesis
 programs in ``tests/test_kernel_equivalence.py`` replay every mode, the
 fused build and the warm merge against a reference memory and compare
 with ``==``.

@@ -24,17 +24,16 @@ from repro.lint.core import Finding, ModuleFile
 from repro.lint.rules import add_rule
 from repro.lint.rules.common import NOT_A_TX, transaction_target
 
-#: The accounting layer itself (``nvm/memory.py``), the trace replayer
-#: (``nvm/trace.py``), the flight recorder (``nvm/flightrec.py``, whose
-#: whole contract is that recording is uncharged and invisible to
-#: accounting -- bit-identity tests pin it, and ND014 fences its outputs
-#: away from charging sinks) and the bulk-kernel package, whose
-#: charge-from-plan contract pairs every zero-copy view with an explicit
-#: charge.  The scalar reference loops here are the spec the kernels
-#: replicate.  An entry ending in ``/`` allows every file in a package.
+#: The accounting layer itself (``nvm/memory.py``), the flight recorder
+#: (``nvm/flightrec.py``, whose whole contract is that recording is
+#: uncharged and invisible to accounting -- bit-identity tests pin it,
+#: and ND014 fences its outputs away from charging sinks) and the
+#: bulk-kernel package, whose charge-from-plan contract pairs every
+#: zero-copy view with an explicit charge.  The scalar reference loops
+#: here are the spec the kernels replicate.  An entry ending in ``/``
+#: allows every file in a package.
 DEVICE_LAYER = (
     "repro/nvm/memory.py",
-    "repro/nvm/trace.py",
     "repro/nvm/flightrec.py",
     "repro/kernels/",
 )

@@ -22,11 +22,9 @@ from repro.nvm.memory import SimulatedClock, SimulatedMemory
 from repro.nvm.persist import PhasePersistence, Transaction, TransactionLog
 from repro.nvm.pool import NvmPool
 from repro.nvm.stats import MemoryStats
-from repro.nvm.trace import AccessTrace, record_trace, replay_trace
 from repro.nvm.wear import WearReport, wear_report
 
 __all__ = [
-    "AccessTrace",
     "DeviceProfile",
     "LineCache",
     "MemoryStats",
@@ -38,7 +36,5 @@ __all__ = [
     "Transaction",
     "TransactionLog",
     "WearReport",
-    "record_trace",
-    "replay_trace",
     "wear_report",
 ]

@@ -289,20 +289,16 @@ class SimulatedMemory:
         #: write path (:meth:`crash`, :meth:`poke` outside the flight
         #: recorder's window, :meth:`attach_file`) and whenever
         #: :attr:`kernel_ready` goes False (:meth:`arm_faults`,
-        #: :meth:`attach_integrity`, a trace recording).  Host-side
-        #: decode caches of sealed regions (``PrunedDag``) serve only
-        #: while it holds the value they were filled under, so they never
-        #: return bytes the device no longer holds.
+        #: :meth:`attach_integrity`).  Host-side decode caches of sealed
+        #: regions (``PrunedDag``) serve only while it holds the value
+        #: they were filled under, so they never return bytes the device
+        #: no longer holds.
         self.image_epoch = 0
         self._reference = reference
         self._touch_span = self._touch if reference else self._touch_batch
         #: Per-line media program counts (endurance accounting); only
         #: populated when ``track_wear`` is enabled.
         self.wear: dict[int, int] | None = {} if track_wear else None
-        #: True while a trace recorder has the accessors monkey-patched
-        #: (see repro.nvm.trace.record_trace); kernels would bypass the
-        #: patched methods, so they stand down for the duration.
-        self._recording = False
         #: Attached :class:`~repro.nvm.flightrec.FlightRecorder`, if any.
         #: Its window persists by riding :meth:`flush` (uncharged, like
         #: the integrity reseal); ``None`` almost always.
@@ -421,15 +417,13 @@ class SimulatedMemory:
 
         False under the per-line reference model, while a fault plan is
         armed (the hoisted loops skip the per-access hooks and
-        read-corruption sites), while a trace recorder has the accessors
-        patched, or while an integrity mirror is attached (they would
-        skip seal verification); callers then take the scalar path,
-        which handles all four.
+        read-corruption sites), or while an integrity mirror is attached
+        (they would skip seal verification); callers then take the scalar
+        path, which handles all three.
         """
         return (
             self.kernels is not None
             and self._fault_plan is None
-            and not self._recording
             and self._integrity_seals is None
         )
 

@@ -100,6 +100,34 @@ class TestDag:
         assert dag.reachable_from([0]) == {0, 1, 2}
 
 
+class TestTopologicalLevels:
+    """``topological_levels`` feeds the DAG-depth statistics in core/stats."""
+
+    @staticmethod
+    def levels_of(text="u v w x u v w x y z u v y z w x " * 30):
+        dag = Dag(compress_files([("f", text)]))
+        return dag, dag.topological_levels()
+
+    def test_levels_partition_all_rules(self):
+        dag, levels = self.levels_of()
+        flat = [r for level in levels for r in level]
+        assert sorted(flat) == list(range(dag.n_rules))
+
+    def test_root_in_first_level(self):
+        _, levels = self.levels_of()
+        assert 0 in levels[0]
+
+    def test_edges_cross_levels_forward(self):
+        dag, levels = self.levels_of()
+        level_of = {}
+        for depth, level in enumerate(levels):
+            for rule in level:
+                level_of[rule] = depth
+        for rule in range(dag.n_rules):
+            for target in dag.subrule_freq[rule]:
+                assert level_of[target] > level_of[rule]
+
+
 class TestSummation:
     def test_paper_example_bounds(self):
         """Section IV-C worked example: bounds are 6, 4, 2."""

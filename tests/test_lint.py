@@ -548,7 +548,6 @@ def _fence_cases():
     entry: each name sits once inside each allowed path and once outside."""
     device_layer = (
         "repro/nvm/memory.py",
-        "repro/nvm/trace.py",
         "repro/nvm/flightrec.py",
         "repro/kernels/bulk.py",
     )
