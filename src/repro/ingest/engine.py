@@ -86,8 +86,9 @@ MANIFEST_BYTES = 1 << 16
 COMPRESS_OPS_PER_TOKEN = 600
 
 #: Headroom an engine estimate reserves beyond structure sizes; segment
-#: extents replace it with a smaller slack (their result regions are
-#: freed after every query, so the big cushion would only waste extents).
+#: extents replace it with a smaller slack (each query's scratch and
+#: result regions are released when the query ends -- ``run_tasks``
+#: scopes them -- so the big cushion would only waste extents).
 _ENGINE_HEADROOM = 1 << 22
 _SEGMENT_SLACK = 1 << 18
 
@@ -386,16 +387,17 @@ class SegmentedEngine:
                     continue  # fully tombstoned: contributes nothing
                 dseg = self._device[segment.name]
                 state = self._query_state(dseg)
-                outcome = dseg.engine.run_many_on(
-                    [task_by_name(name) for name in task_names], state
-                )
-                dseg.pruned = state.pruned  # cache a lazy post-reopen build
+                # The query's scratch and result blobs die with the scope;
+                # the DAG (rebuilt above after a reopen) stays below it.
+                with dseg.pool.scope():
+                    outcome = dseg.engine.run_many_on(
+                        [task_by_name(name) for name in task_names], state
+                    )
                 segment_ns[segment.name] = outcome.total_ns
                 queried += 1
                 for run in outcome.results:
                     parts[run.task].append((segment, run.result))
                     ngram_names.update(run.ngram_names)
-                self._free_results(dseg.pool)
             vocab = self.corpus.dictionary.words()
             doc_names = self.corpus.live_doc_names()
             rendered: dict[str, Any] = {}
@@ -672,15 +674,6 @@ class SegmentedEngine:
             op_commit=lambda: None,
             pruned=dseg.pruned,
         )
-
-    @staticmethod
-    def _free_results(seg_pool: NvmPool) -> None:
-        """Release a query's result blobs (exact-size reuse next query);
-        without this, checkpoint queries would grow nested pools without
-        bound."""
-        for name in list(seg_pool.region_names()):
-            if name.startswith("results_"):
-                seg_pool.free_region(name)
 
     def _encode_manifest(self) -> bytes:
         parts = [struct.pack("<I", len(self.corpus.segments))]

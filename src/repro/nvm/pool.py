@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.errors import OutOfMemoryError, PoolLayoutError
 from repro.nvm.allocator import PoolAllocator
@@ -275,6 +277,26 @@ class NvmPool:
         if name in self._regions:
             raise PoolLayoutError(f"region {name!r} already exists")
         self._regions[name] = (offset, size)
+
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        """Free everything allocated inside the ``with`` block on exit.
+
+        On exit, normal or not, the allocator is released to the mark
+        taken on entry (:meth:`~repro.nvm.allocator.PoolAllocator.release`)
+        and the region table returns to its entries at entry, so regions
+        named inside the block vanish with their bytes.  The segmented
+        ingest layer runs each checkpoint query's fused plan in a scope
+        of its segment's nested pool.  Nothing allocated before entry may
+        be freed inside the block.
+        """
+        mark = self.allocator.mark()
+        regions = dict(self._regions)
+        try:
+            yield
+        finally:
+            self.allocator.release(mark)
+            self._regions = regions
 
     # ------------------------------------------------------------------
     # Segment extents (pool v4)

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig
 from repro.errors import CrashPoint, ReproError
-from repro.ingest import SegmentedEngine, canonical_json, reference_rendered
+from repro.ingest import (
+    SegmentedEngine,
+    canonical_json,
+    reference_rendered,
+    synthetic_trace,
+)
 from repro.ingest.merge import MERGEABLE_TASKS
 from repro.nvm.faults import FaultPlan
 
@@ -220,6 +225,37 @@ def test_poisoned_stale_extents_match_recompress(make_config):
             eng.compact()
             _poison(eng.memory, eng.pool._free_extents)
     assert recycled and rebuilt, (recycled, rebuilt)
+
+
+def test_long_lived_segment_keeps_its_pool_in_place():
+    """A segment queried 200 times without compaction never runs out of
+    its extent: each checkpoint's scratch is released when it ends, so
+    the nested pool's top and peak are the same after every query, and
+    sampled checkpoints still equal ``recompress_baseline``."""
+    tasks = ["word_count", "inverted_index"]
+    eng = SegmentedEngine(EngineConfig(), seal_threshold_tokens=10**9)
+    for op in synthetic_trace(n_docs=40, doc_tokens=40, rounds=0, seed=7):
+        if op.op == "append":
+            eng.append(op.name, op.text)
+    eng.seal()
+    (dseg,) = eng._device.values()
+    alloc = dseg.pool.allocator
+    built, regions = alloc.top, dseg.pool.region_names()
+    first = None
+    for query_no in range(1, 201):
+        res = eng.run_tasks(tasks)
+        after = (alloc.top, alloc.allocated_bytes, alloc.peak_bytes)
+        if first is None:
+            first = after
+            assert alloc.top == built and alloc.peak_bytes > alloc.allocated_bytes
+        assert after == first, query_no
+        assert dseg.pool.region_names() == regions  # no results_* left
+        if query_no in (1, 2, 100, 200):
+            baseline, _ = eng.recompress_baseline(tasks)
+            for task in tasks:
+                assert canonical_json(res.rendered[task]) == canonical_json(
+                    baseline[task]
+                ), (query_no, task)
 
 
 def test_query_on_empty_corpus_raises():

@@ -82,6 +82,36 @@ class TestPoolAllocator:
         with pytest.raises(ValueError):
             PoolAllocator(make_mem(size=1024), base=0, capacity=2048)
 
+    def test_release_returns_to_the_mark(self):
+        alloc = PoolAllocator(make_mem(), base=0, capacity=4096)
+        alloc.alloc(100)
+        spare = alloc.alloc(48)
+        alloc.free(spare, 48)
+        mark = alloc.mark()
+        assert alloc.alloc(48) == spare  # a pre-mark free block, reused
+        scratch = alloc.alloc(500)
+        alloc.free(scratch, 500)
+        alloc.alloc(200)
+        alloc.release(mark)
+        assert alloc.top == mark.top == spare + 48
+        assert alloc.allocated_bytes == 100
+        assert alloc.peak_bytes == 100 + 48 + 500
+        assert alloc.alloc(48) == spare  # the free lists are the mark's
+        assert alloc.alloc(500) == mark.top  # scratch's free block is gone
+
+    def test_release_lowers_the_zero_watermark(self):
+        mem = make_mem()
+        alloc = PoolAllocator(mem, base=0, capacity=4096)
+        alloc.alloc(40)
+        mark = alloc.mark()
+        scratch = alloc.alloc(1000)
+        mem.write(scratch, b"\xff" * 1000)
+        alloc.release(mark)
+        assert alloc.zero_watermark == mark.top
+        again = alloc.alloc(1000)
+        assert again == scratch and mem.peek(again, 1000) == bytes(1000)
+        assert mem.peek(0, 40) == bytes(40)
+
 
 class TestNvmPool:
     def test_alloc_and_get_region(self):
@@ -100,6 +130,29 @@ class TestNvmPool:
         pool = NvmPool(make_mem())
         with pytest.raises(PoolLayoutError):
             pool.get_region("nope")
+
+    def test_scope_drops_what_it_allocated(self):
+        pool = NvmPool(make_mem())
+        kept = pool.alloc_region("kept", 64)
+        top = pool.allocator.top
+        with pool.scope():
+            pool.alloc_region("results_1", 256)
+            pool.allocator.alloc(512)
+        assert pool.region_names() == ["kept"]
+        assert pool.allocator.top == top
+        assert pool.allocator.allocated_bytes == 64
+        assert pool.alloc_region("results_1", 256) == top  # name and space free
+        assert pool.get_region("kept") == (kept, 64)
+
+    def test_scope_releases_when_the_block_raises(self):
+        pool = NvmPool(make_mem())
+        top = pool.allocator.top
+        with pytest.raises(OutOfMemoryError):
+            with pool.scope():
+                pool.alloc_region("scratch", 1024)
+                pool.allocator.alloc(1 << 20)
+        assert not pool.has_region("scratch")
+        assert pool.allocator.top == top
 
     def test_free_region(self):
         pool = NvmPool(make_mem())

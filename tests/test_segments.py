@@ -2,7 +2,7 @@
 the manifest codec, and trace parsing."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import EngineConfig
@@ -141,6 +141,8 @@ _STALE_OPS = st.lists(
         ),
         st.tuples(st.just("free"), st.integers(0, 63)),
         st.tuples(st.just("crash"), st.booleans()),
+        st.just(("mark",)),
+        st.just(("release",)),
     ),
     min_size=1,
     max_size=40,
@@ -149,14 +151,26 @@ _STALE_OPS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(ops=_STALE_OPS, garbage=st.binary(min_size=1, max_size=64))
+# A scope that reuses a block freed before the mark, frees its own
+# scratch, and is released mid-line; then both sizes are allocated again.
+@example(
+    ops=[("alloc", 100, 8), ("free", 0), ("mark",), ("alloc", 100, 8),
+         ("alloc", 300, 64), ("free", 1), ("release",), ("alloc", 300, 8),
+         ("alloc", 100, 8)],
+    garbage=b"\xab",
+)
 def test_stale_extent_allocations_read_zero(ops, garbage):
     """Bump allocations from a stale extent read zero; nothing else moves.
 
     A garbage-filled extent is recycled, then a random alloc/free/align
     program runs in its nested pool, crashing (after an optional flush)
-    and reopening the outer pool wherever the program says.  Every
-    zeroing fill covers whole lines past the allocator's top and fetches
-    nothing; free-list reuse reports ``last_alloc_reused``; and the
+    and reopening the outer pool wherever the program says, and marking
+    and releasing a query scope.  Every zeroing fill covers space past
+    the allocator's top up to a line boundary: whole lines, fetching
+    nothing, except that the first fill after a release starts at the
+    released mark.  Free-list reuse reports ``last_alloc_reused``; a
+    release returns the free lists to the mark and leaves no live block
+    above the top, so every later bump allocation reads zero; and the
     extent holds exactly what a model of the owner's writes and the
     fills predicts, so the untouched tail keeps the old owner's bytes.
     """
@@ -188,7 +202,11 @@ def test_stale_extent_allocations_read_zero(ops, garbage):
         return nested.allocator, [], {}
 
     alloc, live, free_lists = open_nested()
+    #: (mark, live blocks at the mark, the model's free lists at the mark)
+    scope = None
+    released_at = None
     for op in ops:
+        floor = scope[1] if scope else 0  # blocks below it outlive the scope
         if op[0] == "alloc":
             _, n, align = op
             top, fills[:] = alloc.top, []
@@ -204,16 +222,32 @@ def test_stale_extent_allocations_read_zero(ops, garbage):
             else:
                 assert mem.peek(got, n) == bytes(n)
                 for start, length, device_ns in fills:
-                    assert start >= top and start % line == 0
-                    assert length % line == 0 and device_ns == 0
+                    assert start >= top and (start + length) % line == 0
+                    if start != released_at:
+                        assert start % line == 0 and device_ns == 0
             stamp = bytes([len(live) % 255 + 1]) * n
             mem.write(got, stamp)
             image[got - off : got - off + n] = stamp
             live.append((got, n))
-        elif op[0] == "free" and live:
-            got, n = live.pop(op[1] % len(live))
+        elif op[0] == "free" and len(live) > floor:
+            got, n = live.pop(floor + op[1] % (len(live) - floor))
             alloc.free(got, n)
             free_lists.setdefault(n, []).append(got)
+        elif op[0] == "mark" and scope is None:
+            saved = {n: list(blocks) for n, blocks in free_lists.items()}
+            scope = (alloc.mark(), len(live), saved)
+        elif op[0] == "release" and scope is not None:
+            mark, floor, free_lists = scope
+            alloc.release(mark)
+            del live[floor:]
+            scope = None
+            released_at = alloc.top
+            assert alloc.mark() == mark  # top, free lists, allocated bytes
+            assert alloc.zero_watermark <= alloc.top
+            assert all(got + n <= alloc.top for got, n in live)
+            assert all(
+                got < alloc.top for blocks in free_lists.values() for got in blocks
+            )
         elif op[0] == "crash":
             if op[1]:
                 pool.flush()
@@ -223,6 +257,7 @@ def test_stale_extent_allocations_read_zero(ops, garbage):
             pool = NvmPool(mem)
             pool.load_directory()
             alloc, live, free_lists = open_nested()
+            scope = released_at = None
         assert mem.peek(off, size) == bytes(image)
 
 
