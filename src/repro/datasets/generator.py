@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 
-def _zipf_weights(n: int, exponent: float) -> list[float]:
-    """Unnormalized Zipf rank weights 1/r^s for ranks 1..n."""
-    return [1.0 / (rank**exponent) for rank in range(1, n + 1)]
+def _zipf_cum_weights(n: int, exponent: float) -> list[float]:
+    """Cumulative unnormalized Zipf rank weights 1/r^s for ranks 1..n.
+
+    Passed as ``random.choices(..., cum_weights=...)``: the draws are the
+    ones ``weights=`` gives, which re-accumulates the list on every call.
+    """
+    return list(accumulate(1.0 / (rank**exponent) for rank in range(1, n + 1)))
 
 
 def _make_word(index: int) -> str:
@@ -85,21 +90,21 @@ def generate_corpus_files(spec: CorpusSpec) -> list[tuple[str, str]]:
     """Generate ``(file_name, text)`` pairs for a spec."""
     rng = random.Random(spec.seed)
     vocabulary = [_make_word(i) for i in range(spec.vocab_size)]
-    word_weights = _zipf_weights(spec.vocab_size, spec.zipf_exponent)
+    word_weights = _zipf_cum_weights(spec.vocab_size, spec.zipf_exponent)
 
     phrases: list[list[str]] = []
     for _ in range(spec.phrase_pool):
         length = max(2, int(rng.gauss(spec.phrase_len, spec.phrase_len / 3)))
-        phrases.append(rng.choices(vocabulary, weights=word_weights, k=length))
-    phrase_weights = _zipf_weights(spec.phrase_pool, spec.zipf_exponent)
+        phrases.append(rng.choices(vocabulary, cum_weights=word_weights, k=length))
+    phrase_weights = _zipf_cum_weights(spec.phrase_pool, spec.zipf_exponent)
 
     templates: list[list[str]] = []
     for _ in range(spec.templates):
         passage: list[str] = []
         while len(passage) < spec.template_len:
-            passage.extend(rng.choices(phrases, weights=phrase_weights, k=1)[0])
+            passage.extend(rng.choices(phrases, cum_weights=phrase_weights, k=1)[0])
         templates.append(passage[: spec.template_len])
-    template_weights = _zipf_weights(max(spec.templates, 1), spec.zipf_exponent)
+    template_weights = _zipf_cum_weights(max(spec.templates, 1), spec.zipf_exponent)
 
     files: list[tuple[str, str]] = []
     for file_index in range(spec.n_files):
@@ -112,13 +117,13 @@ def generate_corpus_files(spec: CorpusSpec) -> list[tuple[str, str]]:
             if templates and rng.random() < spec.reuse:
                 # Copy an aligned template window; alignment makes copies
                 # of the same window byte-identical across documents.
-                passage = rng.choices(templates, weights=template_weights, k=1)[0]
+                passage = rng.choices(templates, cum_weights=template_weights, k=1)[0]
                 slots = max(1, len(passage) // spec.window)
                 start = rng.randrange(slots) * spec.window
                 length = spec.window * rng.randint(1, 3)
                 words.extend(passage[start : start + length])
             else:
-                words.extend(rng.choices(phrases, weights=phrase_weights, k=1)[0])
+                words.extend(rng.choices(phrases, cum_weights=phrase_weights, k=1)[0])
             # Sprinkle uniform-random noise words after the chunk (they
             # supply the rare-word vocabulary tail without breaking the
             # chunk's exact repeats).

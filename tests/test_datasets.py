@@ -1,5 +1,7 @@
 """Tests for the synthetic corpus generators and dataset profiles."""
 
+import hashlib
+
 import pytest
 
 from repro.datasets.generator import CorpusSpec, generate_corpus_files
@@ -49,6 +51,23 @@ class TestGenerator:
     def test_zero_templates_still_generates(self):
         files = generate_corpus_files(spec(templates=0))
         assert all(text for _, text in files)
+
+    @pytest.mark.parametrize(
+        "profile, digest",
+        [
+            ("A", "fb29764ea42471cbbb0c8653c3468d4a82672021574adcfafcc0ef4540657d1c"),
+            ("B", "e8abab4c5d03b22529eedfcf935aca9229541152208dd64a0d300a9f25341a8a"),
+            ("C", "0aa8b1fd98224b691b3d3a79cd517fb98106938aa597088aabd43c6f3d0c6520"),
+            ("D", "008d7e52186446b8e5d4841a86f52bb4bddca87c317943b04201292c432ea5f8"),
+        ],
+    )
+    def test_profile_text_is_pinned(self, profile, digest):
+        """Every profile's generated names and text, byte for byte: every
+        compressed corpus, figure and benchmark number starts here."""
+        h = hashlib.sha256()
+        for name, text in generate_corpus_files(PROFILES[profile].spec):
+            h.update(name.encode() + b"\0" + text.encode() + b"\0")
+        assert h.hexdigest() == digest
 
 
 class TestProfiles:
