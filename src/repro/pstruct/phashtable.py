@@ -30,7 +30,7 @@ import struct
 import sys
 from typing import Iterator
 
-from repro.errors import CapacityError
+from repro.errors import CapacityError, CorruptDataError
 from repro.kernels import hashops
 from repro.kernels.core import select_occupied
 from repro.nvm.allocator import PoolAllocator
@@ -101,7 +101,14 @@ def _capacity_for(expected_entries: int) -> int:
 
 
 class PHashTable:
-    """Persistent u64 -> i64 hash table with open addressing."""
+    """Persistent u64 -> i64 hash table with open addressing.
+
+    Attaching reads the header back and validates it on the host, for
+    free: a capacity that is not a power of two, more live and dead
+    entries than slots, or a data block outside the allocator's region
+    raises :class:`~repro.errors.CorruptDataError` before any probe can
+    use the bad values.
+    """
 
     def __init__(self, allocator: PoolAllocator, header_offset: int) -> None:
         self._allocator = allocator
@@ -116,6 +123,25 @@ class PHashTable:
             self._data_offset,
         ) = _HEADER.unpack(raw)
         self.growable = bool(flags & _FLAG_GROWABLE)
+        capacity = self._capacity
+        if (
+            not capacity
+            or capacity & (capacity - 1)
+            or self._count + self._tombstones > capacity
+        ):
+            raise CorruptDataError(
+                f"hash table header at {header_offset}: capacity {capacity}, "
+                f"count {self._count}, tombstones {self._tombstones}"
+            )
+        data_end = self._data_offset + capacity * _SLOT_BYTES
+        if self._data_offset < allocator.base or (
+            data_end > allocator.base + allocator.capacity
+        ):
+            raise CorruptDataError(
+                f"hash table header at {header_offset}: data "
+                f"[{self._data_offset}, {data_end}) outside the allocator "
+                f"region [{allocator.base}, {allocator.base + allocator.capacity})"
+            )
 
     # ------------------------------------------------------------------
     # Construction

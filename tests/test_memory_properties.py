@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     CapacityError,
+    CorruptDataError,
     CrashPoint,
-    InvalidAccessError,
     OutOfMemoryError,
 )
 from repro.kernels import hashops
@@ -210,7 +210,7 @@ _P = b"p" * 40
          [("write", 0, _W), ("write", 600, _W), ("flush",), ("write", 0, _W[:8]),
           ("write", 2000, _W), ("flush",), ("read", 256, 512), ("crash",)])
 # Sticky corruption of a table header's read-back on an unprotected
-# device: the garbage offset it yields is refused by the bounds check.
+# device: attaching the table refuses the garbage capacity it yields.
 @example("nvm", 2, False, (1, None, 0, 0, 4552, 0),
          [("hash", [0, 1, 2]), ("hash", [0, 1, 2, 3, 4, 5]), ("hash", [0])])
 def test_crash_matches_the_whole_device_rule(device, cache_lines, recorder, faults, ops):
@@ -262,12 +262,12 @@ def test_crash_matches_the_whole_device_rule(device, cache_lines, recorder, faul
         elif kind == "hash":
             # Earlier writes may have left garbage in the slots a new table
             # gets, or used up the heap; sticky corruption of the header's
-            # read-back sends the probe outside the device, which refuses it.
+            # read-back fails the header check when the table attaches.
             try:
                 table = PHashTable.create(allocator, len(op[1]))
                 table.insert_many([(key, key * 3) for key in op[1]])
                 table.add_many([(key, 1) for key in op[1]])
-            except (OutOfMemoryError, CapacityError, InvalidAccessError):
+            except (OutOfMemoryError, CapacityError, CorruptDataError):
                 continue
         elif kind == "detach":
             mem.detach_flight_recorder()

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CapacityError
+from repro.errors import CapacityError, CorruptDataError
 from repro.nvm.allocator import PoolAllocator
 from repro.nvm.device import DeviceProfile
 from repro.nvm.memory import SimulatedMemory
-from repro.pstruct.phashtable import PHashTable, hash64
+from repro.pstruct.phashtable import _HEADER, PHashTable, hash64
 
 
 def make_allocator(size=1 << 22):
@@ -186,6 +186,31 @@ class TestPersistence:
             table.put(i, i)
         reopened = PHashTable.attach(alloc, table.header_offset)
         assert reopened.to_dict() == {i: i for i in range(50)}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"capacity": 48},  # not a power of two
+            {"capacity": 0},
+            {"count": 40, "tombstones": 30},  # more entries than 64 slots
+            {"data_offset": 1 << 22},  # past the allocator's region
+            {"data_offset": (1 << 22) - 64 * 17 + 1},  # ends 1 B past it
+        ],
+    )
+    def test_attach_rejects_a_corrupt_header(self, overrides):
+        alloc = make_allocator()
+        table = PHashTable.create(alloc, expected_entries=32)
+        mem = alloc.memory
+        names = ("capacity", "count", "flags", "tombstones", "data_offset")
+        fields = dict(zip(names, _HEADER.unpack(mem.peek(table.header_offset, 24))))
+        assert fields["capacity"] == 64
+        fields.update(overrides)
+        mem.poke(table.header_offset, _HEADER.pack(*fields.values()))
+        before = mem.clock.ns
+        with pytest.raises(CorruptDataError):
+            PHashTable.attach(alloc, table.header_offset)
+        # The checks are host-side: only the header read is charged.
+        assert mem.clock.ns - before == pytest.approx(1.0)
 
     def test_survives_flush_and_crash(self):
         alloc = make_allocator()
