@@ -13,8 +13,54 @@ device-resident form is built by :mod:`repro.core.pruning`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.core.grammar import RULE_BASE, SEP_BASE, CompressedCorpus
 from repro.errors import GrammarError
+
+
+@dataclass(frozen=True)
+class PrunedRule:
+    """Python-side result of pruning one rule (Algorithm 1's output)."""
+
+    subrules: tuple[tuple[int, int], ...]  # (rule index, frequency), id-sorted
+    words: tuple[tuple[int, int], ...]     # (word id, frequency), id-sorted
+    raw_length: int                        # symbols in the unpruned body
+
+    @property
+    def pruned_length(self) -> int:
+        """Number of (id, freq) entries after pruning."""
+        return len(self.subrules) + len(self.words)
+
+    @property
+    def savings(self) -> float:
+        """Fraction of grammar entries removed by pruning."""
+        if self.raw_length == 0:
+            return 0.0
+        return 1.0 - self.pruned_length / self.raw_length
+
+
+def prune_rule(body: list[int]) -> PrunedRule:
+    """Algorithm 1's bucket pass: collapse a body into frequency lists.
+
+    Separators carry no analytics weight and are dropped here (they remain
+    available in the ordered body).
+    """
+    subs: dict[int, int] = {}
+    words: dict[int, int] = {}
+    sget = subs.get
+    wget = words.get
+    for symbol in body:
+        if symbol >= RULE_BASE:
+            key = symbol - RULE_BASE
+            subs[key] = sget(key, 0) + 1
+        elif symbol < SEP_BASE:
+            words[symbol] = wget(symbol, 0) + 1
+    return PrunedRule(
+        subrules=tuple(sorted(subs.items())),
+        words=tuple(sorted(words.items())),
+        raw_length=len(body),
+    )
 
 
 class Dag:
@@ -22,36 +68,28 @@ class Dag:
 
     Attributes:
         n_rules: Number of nodes.
-        subrule_freq: Per rule, a ``{subrule_index: multiplicity}`` map.
-        word_freq: Per rule, a ``{word_id: multiplicity}`` map
+        subrules: Per rule, its id-sorted ``(subrule index, multiplicity)``
+            pairs (:func:`prune_rule`'s bucket pass).
+        words: Per rule, its id-sorted ``(word id, multiplicity)`` pairs
             (separators excluded).
         in_degree: Number of distinct rules referencing each rule.
         out_degree: Number of distinct subrules of each rule.
+
+    The pair tuples are shared, never copied, by everything built from
+    this view: the pruned DAG's pool image and its host decode cache.
     """
 
     def __init__(self, corpus: CompressedCorpus) -> None:
         self.corpus = corpus
         self.n_rules = corpus.n_rules
-        self.subrule_freq: list[dict[int, int]] = []
-        self.word_freq: list[dict[int, int]] = []
-        for body in corpus.rules:
-            subs: dict[int, int] = {}
-            words: dict[int, int] = {}
-            sget = subs.get
-            wget = words.get
-            for symbol in body:
-                if symbol >= RULE_BASE:
-                    key = symbol - RULE_BASE
-                    subs[key] = sget(key, 0) + 1
-                elif symbol < SEP_BASE:
-                    words[symbol] = wget(symbol, 0) + 1
-            self.subrule_freq.append(subs)
-            self.word_freq.append(words)
+        pruned = [prune_rule(body) for body in corpus.rules]
+        self.subrules = [rule.subrules for rule in pruned]
+        self.words = [rule.words for rule in pruned]
         self._topo_order: list[int] | None = None
-        self.out_degree = [len(subs) for subs in self.subrule_freq]
+        self.out_degree = [len(subs) for subs in self.subrules]
         self.in_degree = [0] * self.n_rules
-        for subs in self.subrule_freq:
-            for target in subs:
+        for subs in self.subrules:
+            for target, _ in subs:
                 self.in_degree[target] += 1
 
     # ------------------------------------------------------------------
@@ -74,12 +112,18 @@ class Dag:
         remaining = list(self.in_degree)
         queue = [r for r in range(self.n_rules) if remaining[r] == 0]
         order: list[int] = []
+        bodies = self.corpus.rules
         head = 0
         while head < len(queue):
             rule = queue[head]
             head += 1
             order.append(rule)
-            for target in self.subrule_freq[rule]:
+            # Subrules in the order the body first references them, not
+            # id order: the traversal order, and with it every charged
+            # access, follows this order.
+            for target in dict.fromkeys(
+                symbol - RULE_BASE for symbol in bodies[rule] if symbol >= RULE_BASE
+            ):
                 remaining[target] -= 1
                 if remaining[target] == 0:
                     queue.append(target)
@@ -102,7 +146,7 @@ class Dag:
         """
         depth = [0] * self.n_rules
         for rule in self.topological_order():
-            for target in self.subrule_freq[rule]:
+            for target, _ in self.subrules[rule]:
                 depth[target] = max(depth[target], depth[rule] + 1)
         levels: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
         for rule, level in enumerate(depth):
@@ -126,7 +170,7 @@ class Dag:
             w = weight[rule]
             if w == 0:
                 continue
-            for target, freq in self.subrule_freq[rule].items():
+            for target, freq in self.subrules[rule]:
                 weight[target] += w * freq
         return weight
 
@@ -134,8 +178,8 @@ class Dag:
         """Fully-expanded word count of every rule (separators excluded)."""
         lengths = [0] * self.n_rules
         for rule in self.reverse_topological_order():
-            total = sum(self.word_freq[rule].values())
-            for target, freq in self.subrule_freq[rule].items():
+            total = sum(freq for _, freq in self.words[rule])
+            for target, freq in self.subrules[rule]:
                 total += freq * lengths[target]
             lengths[rule] = total
         return lengths
@@ -149,5 +193,5 @@ class Dag:
             if rule in seen:
                 continue
             seen.add(rule)
-            stack.extend(t for t in self.subrule_freq[rule] if t not in seen)
+            stack.extend(t for t, _ in self.subrules[rule] if t not in seen)
         return seen

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.dag import Dag
 from repro.core.grammar import CompressedCorpus
-from repro.core.pruning import PrunedDag
+from repro.core.pruning import PoolImage, PrunedDag
 from repro.core.summation import head_tail_lists, summate_all
 from repro.errors import MediaError, OutOfMemoryError, ReproError
 from repro.metrics.ledger import MemoryLedger
@@ -273,6 +273,11 @@ class CorpusAnalysis:
     stale DAG/topo/bounds -- the fingerprint mismatch forces a fresh
     derivation.  Engines still *charge* the derivation cost per run --
     the memo only removes host work, never simulated cost.
+
+    From the second pool build of a corpus on, the analysis also keeps
+    the build's :class:`~repro.core.pruning.PoolImage` (one with the
+    Algorithm-2 bounds and one without), so later builds only rebase and
+    write its bytes; see :meth:`pool_image`.
     """
 
     dag: Dag
@@ -283,6 +288,31 @@ class CorpusAnalysis:
     heads: list
     tails: list
     headtail_k: int
+    #: Per ``bounded`` flag: ``None`` after the first build, the kept
+    #: image from the second on.
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pool_image(self, bounded: bool) -> PoolImage:
+        """The image a pool build of this corpus writes.
+
+        ``bounded`` says whether the metadata records carry the bounds.
+        The first build's image is made and dropped, so a corpus built
+        once keeps nothing; the second build's is kept and every later
+        build reuses it.
+        """
+        images = self._images
+        image = images.get(bounded)
+        if image is None:
+            image = PoolImage(
+                self.dag.corpus,
+                self.dag,
+                self.bounds if bounded else None,
+                self.headtail_k,
+                self.heads,
+                self.tails,
+            )
+            images[bounded] = image if bounded in images else None
+        return image
 
 
 def corpus_analysis(corpus: CompressedCorpus, headtail_k: int) -> CorpusAnalysis:
@@ -365,13 +395,12 @@ class NTadocEngine:
         self.config = config or EngineConfig()
         k = max(self.config.ngram_n - 1, 1)
         analysis = corpus_analysis(corpus, k)
+        self._analysis = analysis
         self._dag = analysis.dag
         self._topo = analysis.topo
         self._reverse_topo = analysis.reverse_topo
         self._topo_position = analysis.topo_position
         self._bounds = analysis.bounds
-        self._heads = analysis.heads
-        self._tails = analysis.tails
         self._headtail_k = k
         #: Machinery of the most recent run or plan (faultsweep pokes at
         #: the pool/guard after the run to verify scrub idempotence; the
@@ -572,21 +601,18 @@ class NTadocEngine:
         glen = corpus.grammar_length()
         state.clock.cpu(4 * glen + 6 * corpus.n_rules)
 
-    def _build_pruned(self, state: _RunState) -> PrunedDag:
-        """Build the device-resident pruned DAG pool (once per plan)."""
+    def _build_pruned(self, pool: NvmPool, on_rule=None) -> PrunedDag:
+        """Build the device-resident pruned DAG pool (once per plan).
+
+        The bytes come from the corpus analysis's pool image; the charged
+        writes are :meth:`PrunedDag.install`'s.
+        """
         config = self.config
-        return PrunedDag.build(
-            state.pool,
-            self.corpus,
-            self._dag,
-            bounds=None if config.use_growable_structures else self._bounds,
-            headtail_k=self._headtail_k,
-            heads=self._heads,
-            tails=self._tails,
+        return PrunedDag.install(
+            pool,
+            self._analysis.pool_image(bounded=not config.use_growable_structures),
             per_rule=config.use_scattered_layout,
-            on_rule=(
-                state.op_commit if config.persistence == "operation" else None
-            ),
+            on_rule=on_rule,
         )
 
     def _make_context(self, state: _RunState):
@@ -756,7 +782,12 @@ class NTadocEngine:
                     self._charge_init_stream(state)
                 if state.pruned is None:
                     with obs.span("init:pool_build", category="engine"):
-                        state.pruned = self._build_pruned(state)
+                        state.pruned = self._build_pruned(
+                            state.pool,
+                            state.op_commit
+                            if self.config.persistence == "operation"
+                            else None,
+                        )
 
             ctx = self._make_context(state)
 

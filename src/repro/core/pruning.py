@@ -33,21 +33,32 @@ preprocessing (Section IV-B last paragraph), which walks ordered bodies.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from itertools import chain
 
-from repro.core.dag import Dag
-from repro.core.grammar import RULE_BASE, SEP_BASE, CompressedCorpus
+from repro.core.dag import Dag, PrunedRule, prune_rule
+from repro.core.grammar import CompressedCorpus
 from repro.kernels import dagops
-from repro.kernels.core import pack_values
+from repro.kernels.core import pack_values, typed_array
 from repro.nvm.pool import NvmPool
 from repro.pstruct import layout
 from repro.pstruct.headtail import HeadTailStore
+
+__all__ = [
+    "META_RECORD_SIZE",
+    "PoolImage",
+    "PrunedDag",
+    "PrunedRule",
+    "prune_corpus",
+    "prune_rule",
+    "redundancy_savings",
+]
 
 _INFO = struct.Struct("<IIII")
 _FLAG_INDEXED = 1
 _META = struct.Struct("<QQIIIIIIQ")
 META_RECORD_SIZE = _META.size  # 48
+#: u64 words per metadata record; the entry and raw offsets are words 0, 1.
+_META_WORDS = META_RECORD_SIZE // 8
 
 _INFO_REGION = "dag_info"
 _META_REGION = "meta"
@@ -56,65 +67,98 @@ _RAW_REGION = "raw"
 _HEADTAIL_REGION = "headtail"
 
 
-@dataclass(frozen=True)
-class PrunedRule:
-    """Python-side result of pruning one rule (Algorithm 1's output)."""
-
-    subrules: list[tuple[int, int]]  # (rule index, frequency), id-sorted
-    words: list[tuple[int, int]]     # (word id, frequency), id-sorted
-    raw_length: int                  # symbols in the unpruned body
-
-    @property
-    def pruned_length(self) -> int:
-        """Number of (id, freq) entries after pruning."""
-        return len(self.subrules) + len(self.words)
-
-    @property
-    def savings(self) -> float:
-        """Fraction of grammar entries removed by pruning."""
-        if self.raw_length == 0:
-            return 0.0
-        return 1.0 - self.pruned_length / self.raw_length
-
-
-def prune_rule(body: list[int]) -> PrunedRule:
-    """Algorithm 1's bucket pass: collapse a body into frequency lists.
-
-    Separators carry no analytics weight and are dropped here (they remain
-    available in the ordered body).
-    """
-    subs: dict[int, int] = {}
-    words: dict[int, int] = {}
-    sget = subs.get
-    wget = words.get
-    for symbol in body:
-        if symbol >= RULE_BASE:
-            key = symbol - RULE_BASE
-            subs[key] = sget(key, 0) + 1
-        elif symbol < SEP_BASE:
-            words[symbol] = wget(symbol, 0) + 1
-    return PrunedRule(
-        subrules=sorted(subs.items()),
-        words=sorted(words.items()),
-        raw_length=len(body),
-    )
-
-
 def redundancy_savings(corpus: CompressedCorpus) -> float:
     """Corpus-wide fraction of grammar entries eliminated by pruning.
 
     The paper reports this eliminates "at most 50.2% of the grammar
     redundancy on NVM".
     """
-    raw_total = 0
-    pruned_total = 0
-    for body in corpus.rules:
-        pruned = prune_rule(body)
-        raw_total += pruned.raw_length
-        pruned_total += pruned.pruned_length
+    raw_total = corpus.grammar_length()
     if raw_total == 0:
         return 0.0
+    dag = Dag(corpus)
+    pruned_total = sum(map(len, dag.subrules)) + sum(map(len, dag.words))
     return 1.0 - pruned_total / raw_total
+
+
+class PoolImage:
+    """The bytes :meth:`PrunedDag.install` writes for one corpus, offset-free.
+
+    Holds the packed ``dag`` and ``raw`` region bytes, the metadata
+    records with their entry and raw offsets relative to those regions,
+    the head/tail record bytes, and, per rule, the :class:`Dag`'s pair
+    tuples (the row templates of the host decode cache, shared with the
+    DAG view, not copied).  Nothing in it depends on where a pool places
+    the regions, so one image serves every build of a corpus: phase- and
+    operation-level runs alike.  It decides where the bytes come from,
+    never which charged calls a build issues.
+    """
+
+    def __init__(
+        self,
+        corpus: CompressedCorpus,
+        dag: Dag,
+        bounds: list[int] | None = None,
+        headtail_k: int = 0,
+        heads: list[list[int]] | None = None,
+        tails: list[list[int]] | None = None,
+    ) -> None:
+        if headtail_k and (heads is None or tails is None):
+            raise ValueError("headtail_k set but heads/tails missing")
+        self.n_rules = corpus.n_rules
+        self.n_files = corpus.n_files
+        self.headtail_k = headtail_k
+        self.subrules = dag.subrules
+        self.words = dag.words
+        pack = _META.pack
+        flat: list[int] = []
+        records = []
+        entry_top = raw_top = 0
+        for rule, body in enumerate(corpus.rules):
+            subs = dag.subrules[rule]
+            words = dag.words[rule]
+            flat.extend(chain.from_iterable(subs))
+            flat.extend(chain.from_iterable(words))
+            records.append(
+                pack(
+                    entry_top,
+                    raw_top,
+                    len(subs),
+                    len(words),
+                    len(body),
+                    dag.in_degree[rule],
+                    dag.out_degree[rule],
+                    bounds[rule] if bounds is not None else 0,
+                    0,  # weight
+                )
+            )
+            entry_top += (len(subs) + len(words)) * 8
+            raw_top += len(body) * 4
+        self.entries = pack_values(flat, 4)
+        self.raw = pack_values(chain.from_iterable(corpus.rules), 4)
+        self.meta = b"".join(records)
+        self.headtail = (
+            HeadTailStore.encode(heads, tails, headtail_k) if headtail_k else b""
+        )
+
+    def rebase(self, meta_off: int, dag_off: int, raw_off: int) -> tuple[bytes, list]:
+        """The metadata region's bytes, and the host decode cache's rows,
+        for regions placed at these offsets."""
+        cols = typed_array(self.meta, 8)
+        for col, base in ((0, dag_off), (1, raw_off)):
+            rebased = [base + off for off in cols[col::_META_WORDS]]
+            cols[col::_META_WORDS] = typed_array(pack_values(rebased, 8), 8)
+        meta = pack_values(cols, 8)
+        rows = [
+            (record_off, fields[0], subs, words, fields[:-1])  # weight dropped
+            for record_off, fields, subs, words in zip(
+                range(meta_off, meta_off + len(meta), META_RECORD_SIZE),
+                _META.iter_unpack(meta),
+                self.subrules,
+                self.words,
+            )
+        ]
+        return meta, rows
 
 
 class PrunedDag:
@@ -177,7 +221,7 @@ class PrunedDag:
         Args:
             pool: Destination pool (usually on the NVM device).
             corpus: The compressed corpus.
-            dag: Its DAG view (for in/out degrees).
+            dag: Its DAG view (pair lists, in/out degrees).
             bounds: Optional per-rule word-list upper bounds (Algorithm 2
                 output) stored into the metadata records.
             headtail_k: Width of head/tail buffers (0 disables them).
@@ -191,19 +235,26 @@ class PrunedDag:
             on_rule: Optional callback invoked after each rule is written
                 (the engine uses it for operation-level persistence).
         """
+        image = PoolImage(corpus, dag, bounds, headtail_k, heads, tails)
+        return cls.install(pool, image, per_rule=per_rule, on_rule=on_rule)
+
+    @classmethod
+    def install(
+        cls, pool: NvmPool, image: PoolImage, per_rule: bool = False, on_rule=None
+    ) -> "PrunedDag":
+        """Write ``image`` into ``pool``: :meth:`build`'s charged calls.
+
+        ``per_rule`` and ``on_rule`` are :meth:`build`'s.  Whether the
+        image was just made or kept from an earlier build, the same calls
+        run in the same order with the same bytes.
+        """
         mem = pool.memory
-        n_rules = corpus.n_rules
-        # The Dag already ran the bucket pass over every body; reuse its
-        # frequency maps instead of re-scanning every symbol.  The tuples
-        # written here also seed the host decode cache.
-        subs_of = [tuple(sorted(freqs.items())) for freqs in dag.subrule_freq]
-        words_of = [tuple(sorted(freqs.items())) for freqs in dag.word_freq]
-        rows: list = [None] * n_rules
-        entries_bytes = (sum(map(len, subs_of)) + sum(map(len, words_of))) * 8
+        n_rules = image.n_rules
+        entries = image.entries
+        raw = image.raw
         # The epoch under which the cache could be seeded: any loss of
         # kernel_ready or out-of-band image change bumps it.
         ready_epoch = mem.image_epoch if mem.kernel_ready else None
-        raw_bytes = sum(len(body) for body in corpus.rules) * 4
 
         info_off = pool.alloc_region(_INFO_REGION, _INFO.size)
         if per_rule:
@@ -211,107 +262,62 @@ class PrunedDag:
             meta_off = pool.alloc_region(_META_REGION, n_rules * 8)
         else:
             meta_off = pool.alloc_region(_META_REGION, n_rules * META_RECORD_SIZE)
-            dag_off = pool.alloc_region(_DAG_REGION, max(entries_bytes, 8))
-            raw_off = pool.alloc_region(_RAW_REGION, max(raw_bytes, 4))
+            dag_off = pool.alloc_region(_DAG_REGION, max(len(entries), 8))
+            raw_off = pool.alloc_region(_RAW_REGION, max(len(raw), 4))
+            meta, rows = image.rebase(meta_off, dag_off, raw_off)
         mem.write(
             info_off,
             _INFO.pack(
-                n_rules, corpus.n_files, headtail_k,
+                n_rules, image.n_files, image.headtail_k,
                 _FLAG_INDEXED if per_rule else 0,
             ),
         )
 
         if not per_rule and on_rule is None:
-            # Fast path: assemble the three region streams in Python and
-            # write each region with a single sequential device access.
-            # Only usable without the per-operation persistence callback,
-            # which needs device state committed after every rule.
-            entry_top = dag_off
-            raw_top = raw_off
-            flat: list[int] = []
-            meta_blob = bytearray()
-            for rule in range(n_rules):
-                subs = subs_of[rule]
-                words = words_of[rule]
-                body = corpus.rules[rule]
-                flat.extend(chain.from_iterable(subs))
-                flat.extend(chain.from_iterable(words))
-                fields = (
-                    entry_top,
-                    raw_top,
-                    len(subs),
-                    len(words),
-                    len(body),
-                    dag.in_degree[rule],
-                    dag.out_degree[rule],
-                    bounds[rule] if bounds is not None else 0,
-                )
-                meta_blob += _META.pack(*fields, 0)  # weight 0
-                rows[rule] = (
-                    meta_off + rule * META_RECORD_SIZE, entry_top, subs, words, fields
-                )
-                entry_top += (len(subs) + len(words)) * 8
-                raw_top += len(body) * 4
-            if flat:
-                mem.write(dag_off, pack_values(flat, 4))
-            if raw_top > raw_off:
-                mem.write(raw_off, pack_values(chain.from_iterable(corpus.rules), 4))
-            mem.write(meta_off, meta_blob)
+            # Fast path: each region with a single sequential device
+            # access.  Only usable without the per-operation persistence
+            # callback, which needs device state committed after every rule.
+            if entries:
+                mem.write(dag_off, entries)
+            if raw:
+                mem.write(raw_off, raw)
+            mem.write(meta_off, meta)
         else:
-            # Algorithm 1's pool_top pointers for the two write streams.
-            if not per_rule:
-                entry_top = dag_off
-                raw_top = raw_off
-            for rule in range(n_rules):
-                subs = subs_of[rule]
-                words = words_of[rule]
-                body = corpus.rules[rule]
-                # Write pruned entries: subrules first, then words (adjacent).
-                flat = []
-                for idx, freq in subs:
-                    flat.extend((idx, freq))
-                for word, freq in words:
-                    flat.extend((word, freq))
+            alloc = pool.allocator.alloc
+            for rule, record in enumerate(_META.iter_unpack(image.meta)):
+                entry_rel, raw_rel, n_sub, n_words, raw_len = record[:5]
+                entry_len = (n_sub + n_words) * 8
+                raw_len *= 4
+                # Algorithm 1's pool_top pointers for the two write streams.
                 if per_rule:
-                    entry_top = pool.allocator.alloc(max(len(flat) * 4, 4))
-                    raw_top = pool.allocator.alloc(max(len(body) * 4, 4))
-                layout.write_u32_array(mem, entry_top, flat)
-                # Ordered body for sequence analytics.
-                layout.write_u32_array(mem, raw_top, body)
-                fields = (
-                    entry_top,
-                    raw_top,
-                    len(subs),
-                    len(words),
-                    len(body),
-                    dag.in_degree[rule],
-                    dag.out_degree[rule],
-                    bounds[rule] if bounds is not None else 0,
-                )
-                record = _META.pack(*fields, 0)  # weight 0
+                    entry_top = alloc(max(entry_len, 4))
+                    raw_top = alloc(max(raw_len, 4))
+                else:
+                    entry_top = dag_off + entry_rel
+                    raw_top = raw_off + raw_rel
+                # Pruned entries (subrules, then words), then the ordered
+                # body for sequence analytics.
+                if entry_len:
+                    mem.write(entry_top, entries[entry_rel : entry_rel + entry_len])
+                if raw_len:
+                    mem.write(raw_top, raw[raw_rel : raw_rel + raw_len])
                 if per_rule:
-                    record_off = pool.allocator.alloc(META_RECORD_SIZE)
-                    mem.write(record_off, record)
+                    record_off = alloc(META_RECORD_SIZE)
+                    mem.write(record_off, _META.pack(entry_top, raw_top, *record[2:]))
                     layout.write_u64(mem, meta_off + rule * 8, record_off)
                 else:
-                    record_off = meta_off + rule * META_RECORD_SIZE
-                    mem.write(record_off, record)
-                    rows[rule] = (record_off, entry_top, subs, words, fields)
-                    entry_top += len(flat) * 4
-                    raw_top += len(body) * 4
+                    at = rule * META_RECORD_SIZE
+                    mem.write(meta_off + at, meta[at : at + META_RECORD_SIZE])
                 if on_rule is not None:
                     on_rule()
 
-        if headtail_k:
-            if heads is None or tails is None:
-                raise ValueError("headtail_k set but heads/tails missing")
-            store = HeadTailStore.create(pool.allocator, n_rules, headtail_k)
+        if image.headtail_k:
+            store = HeadTailStore.create(pool.allocator, n_rules, image.headtail_k)
             # Record the region so attach() can find it.
             pool.register_region(
                 _HEADTAIL_REGION, store.base_offset, n_rules * store.record_size
             )
-            for rule in range(n_rules):
-                store.set(rule, heads[rule], tails[rule])
+            store.install(image.headtail)
         built = cls(pool)
         if not per_rule and mem.image_epoch == ready_epoch and built._revalidate():
             # The rows are exactly the bytes just written.

@@ -59,8 +59,8 @@ def grammar_stats(corpus: CompressedCorpus) -> GrammarStats:
     lengths = [len(body) for body in corpus.rules]
     levels = dag.topological_levels()
     reuse_counts = [0] * corpus.n_rules
-    for subs in dag.subrule_freq:
-        for target, freq in subs.items():
+    for subs in dag.subrules:
+        for target, freq in subs:
             reuse_counts[target] += freq
     non_root_reuse = reuse_counts[1:] or [0]
     glen = corpus.grammar_length()

@@ -32,11 +32,11 @@ def bottom_up_summate(rule: int, bounds: list[int], dag: Dag) -> int:
     Returns the bound for ``rule``.
     """
     total = 0
-    for subrule in dag.subrule_freq[rule]:
+    for subrule, _ in dag.subrules[rule]:
         if bounds[subrule] == UNDETERMINED:
             bottom_up_summate(subrule, bounds, dag)
         total += bounds[subrule]
-    total += len(dag.word_freq[rule])
+    total += len(dag.words[rule])
     bounds[rule] = total
     return total
 
@@ -49,8 +49,8 @@ def summate_all(dag: Dag) -> list[int]:
     """
     bounds = [UNDETERMINED] * dag.n_rules
     for rule in dag.reverse_topological_order():
-        total = len(dag.word_freq[rule])
-        for subrule in dag.subrule_freq[rule]:
+        total = len(dag.words[rule])
+        for subrule, _ in dag.subrules[rule]:
             total += bounds[subrule]
         bounds[rule] = total
     return bounds

@@ -618,23 +618,10 @@ class SegmentedEngine:
         size = estimate - _ENGINE_HEADROOM + _SEGMENT_SLACK
         self.pool.create_segment(segment.name, size)
         seg_pool = self.pool.segment_pool(segment.name)
-        pruned = self._build_segment_dag(eng, seg_pool, segment.corpus)
+        pruned = eng._build_pruned(seg_pool)
         seg_pool.save_directory()  # nested header rides the outer flush
         self._device[segment.name] = _DeviceSegment(
             segment=segment, engine=eng, pool=seg_pool, pruned=pruned
-        )
-
-    def _build_segment_dag(self, eng: NTadocEngine, seg_pool: NvmPool, corpus):
-        config = self.config
-        return PrunedDag.build(
-            seg_pool,
-            corpus,
-            eng._dag,
-            bounds=None if config.use_growable_structures else eng._bounds,
-            headtail_k=eng._headtail_k,
-            heads=eng._heads,
-            tails=eng._tails,
-            per_rule=config.use_scattered_layout,
         )
 
     def _query_state(self, dseg: _DeviceSegment) -> _RunState:
@@ -651,9 +638,7 @@ class SegmentedEngine:
             with obs.span(
                 "ingest:rebuild", category="ingest", segment=dseg.segment.name
             ):
-                dseg.pruned = self._build_segment_dag(
-                    dseg.engine, dseg.pool, dseg.segment.corpus
-                )
+                dseg.pruned = dseg.engine._build_pruned(dseg.pool)
                 dseg.pool.save_directory()
         ledger = MemoryLedger()
         self.recorder.bind(

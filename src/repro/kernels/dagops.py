@@ -43,6 +43,9 @@ closed form up to the step that crosses, that step one add at a time,
 and the rest in closed form again
 (:meth:`~repro.nvm.memory.SimulatedClock.advance_steps`).
 
+:func:`write_records` is the build's one hoisted write loop: it installs
+the head/tail records, inlining the one-line write hit.
+
 Every caller guarantees ``mem.kernel_ready`` (no fault plan or
 integrity mirror, not a reference memory).
 """
@@ -215,6 +218,53 @@ def sweep_summary(table, topo_order, record_size: int) -> tuple:
     nbytes = len(order) * record_size + entries * 8
     distinct = last_touch_order(touched)
     return order, distinct, len(touched), reads, nbytes, int_prefix, cpu_prefix
+
+
+def write_records(mem, offset: int, records: bytes, size: int) -> None:
+    """Write ``records`` at ``offset`` as one ``mem.write`` per ``size`` bytes.
+
+    The hoisted loop of ``HeadTailStore.install``.  A record that fits in
+    one cached line is charged inline as ``SimulatedMemory.write``
+    charges a one-line hit: 1 ns, the line moved to the MRU end and made
+    dirty (a dirty cached line is already in the dirty set and never in
+    the evict-programmed set).  A miss, and every record that straddles
+    a line, goes through ``mem.write`` itself.
+    """
+    mem._check_range(offset, len(records))
+    line_size = mem.profile.line_size
+    clock = mem.clock
+    stats = mem.stats
+    cache_lines = mem._cache._lines
+    move_to_end = cache_lines.move_to_end
+    dirty_add = mem._dirty_lines.add
+    ep_discard = mem._evict_programmed.discard
+    buf = mem._buf
+    write = mem.write
+    ns = clock.ns
+    hits = 0
+    try:
+        for start in range(0, len(records), size):
+            at = offset + start
+            line = at // line_size
+            if line in cache_lines and (at + size - 1) // line_size == line:
+                move_to_end(line)
+                if not cache_lines[line]:
+                    cache_lines[line] = True
+                    dirty_add(line)
+                    ep_discard(line)
+                ns += 1.0
+                hits += 1
+                buf[at : at + size] = records[start : start + size]
+            else:
+                clock.ns = ns
+                write(at, records[start : start + size])
+                ns = clock.ns
+    finally:
+        clock.ns = ns
+        stats.cache_hits += hits
+        stats.lines_written += hits
+        stats.write_ops += hits
+        stats.bytes_written += hits * size
 
 
 def serve_hits(mem, distinct, lines: int, reads: int, nbytes: int) -> None:

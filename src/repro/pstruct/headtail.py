@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.kernels import dagops
 from repro.nvm.allocator import PoolAllocator
 
 _LENGTHS = struct.Struct("<HH")
@@ -53,18 +54,46 @@ class HeadTailStore:
         """Bytes per rule record."""
         return self._record_size
 
+    @staticmethod
+    def encode(heads: list[list[int]], tails: list[list[int]], k: int) -> bytes:
+        """The records of every rule, in rule order (:meth:`set`'s bytes)."""
+        record = struct.Struct(f"<HH{2 * k}I")
+        out = []
+        for head, tail in zip(heads, tails):
+            head = head[:k]
+            tail = tail[-k:] if tail else []
+            out.append(
+                record.pack(
+                    len(head), len(tail),
+                    *head, *[0] * (k - len(head)),
+                    *tail, *[0] * (k - len(tail)),
+                )
+            )
+        return b"".join(out)
+
     def set(self, rule: int, head: list[int], tail: list[int]) -> None:
         """Store the boundary words for ``rule`` (each list truncated to k)."""
         self._check_rule(rule)
-        head = head[: self.k]
-        tail = tail[-self.k :] if tail else []
         offset = self.base_offset + rule * self._record_size
-        padded_head = head + [0] * (self.k - len(head))
-        padded_tail = tail + [0] * (self.k - len(tail))
-        blob = _LENGTHS.pack(len(head), len(tail)) + struct.pack(
-            f"<{2 * self.k}I", *(padded_head + padded_tail)
-        )
-        self._mem.write(offset, blob)
+        self._mem.write(offset, self.encode([head], [tail], self.k))
+
+    def install(self, records: bytes) -> None:
+        """Store every rule's record from :meth:`encode`'s ``records``.
+
+        Charged as one :meth:`set` per rule, in rule order; while the
+        memory is ``kernel_ready`` the writes run as the hoisted
+        :func:`repro.kernels.dagops.write_records`.
+        """
+        size = self._record_size
+        if len(records) != self.n_rules * size:
+            raise ValueError("records do not cover every rule")
+        mem = self._mem
+        if mem.kernel_ready:
+            dagops.write_records(mem, self.base_offset, records, size)
+            return
+        base = self.base_offset
+        for start in range(0, len(records), size):
+            mem.write(base + start, records[start : start + size])
 
     def get(self, rule: int) -> tuple[list[int], list[int]]:
         """Return ``(head_words, tail_words)`` for ``rule``."""

@@ -36,10 +36,10 @@ def paper_example_corpus():
 class TestDag:
     def test_subrule_and_word_frequencies(self):
         dag = Dag(paper_example_corpus())
-        assert dag.subrule_freq[0] == {1: 2, 2: 2}
-        assert dag.word_freq[0] == {}
-        assert dag.word_freq[1] == {2: 1, 3: 1}
-        assert dag.subrule_freq[2] == {}
+        assert dag.subrules[0] == ((1, 2), (2, 2))
+        assert dag.words[0] == ()
+        assert dag.words[1] == ((2, 1), (3, 1))
+        assert dag.subrules[2] == ()
 
     def test_degrees(self):
         dag = Dag(paper_example_corpus())
@@ -87,7 +87,7 @@ class TestDag:
         lengths = dag.expansion_lengths()
         # Sum of weight*own-word-occurrences equals total token count.
         total = sum(
-            weights[r] * sum(dag.word_freq[r].values())
+            weights[r] * sum(freq for _, freq in dag.words[r])
             for r in range(dag.n_rules)
         )
         assert total == 12
@@ -124,7 +124,7 @@ class TestTopologicalLevels:
             for rule in level:
                 level_of[rule] = depth
         for rule in range(dag.n_rules):
-            for target in dag.subrule_freq[rule]:
+            for target, _ in dag.subrules[rule]:
                 assert level_of[target] > level_of[rule]
 
 
@@ -153,8 +153,8 @@ class TestSummation:
         bounds = summate_all(dag)
 
         def distinct_words(rule: int) -> set[int]:
-            words = set(dag.word_freq[rule])
-            for sub in dag.subrule_freq[rule]:
+            words = {word for word, _ in dag.words[rule]}
+            for sub, _ in dag.subrules[rule]:
                 words |= distinct_words(sub)
             return words
 
@@ -163,7 +163,7 @@ class TestSummation:
 
     def test_leaf_bound_equals_word_count(self):
         dag = Dag(paper_example_corpus())
-        assert summate_all(dag)[2] == len(dag.word_freq[2])
+        assert summate_all(dag)[2] == len(dag.words[2])
 
 
 class TestHeadTailLists:

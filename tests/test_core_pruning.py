@@ -31,8 +31,8 @@ class TestPruneRule:
             RULE_BASE + 3, RULE_BASE + 2, RULE_BASE + 4, 4,
         ]
         pruned = prune_rule(body)
-        assert pruned.subrules == [(2, 2), (3, 1), (4, 2)]
-        assert pruned.words == [(3, 1), (4, 2)]
+        assert pruned.subrules == ((2, 2), (3, 1), (4, 2))
+        assert pruned.words == ((3, 1), (4, 2))
         assert pruned.raw_length == 8
         assert pruned.pruned_length == 5
 
@@ -46,8 +46,8 @@ class TestPruneRule:
 
     def test_separators_dropped(self):
         pruned = prune_rule([0, SEP_BASE, 1, SEP_BASE + 1])
-        assert pruned.words == [(0, 1), (1, 1)]
-        assert pruned.subrules == []
+        assert pruned.words == ((0, 1), (1, 1))
+        assert pruned.subrules == ()
 
     def test_empty_body(self):
         pruned = prune_rule([])
