@@ -382,8 +382,10 @@ class NTadocEngine:
 
     The heavyweight per-corpus derivations (DAG view, topological orders,
     bounds, head/tail lists) are computed once in Python and *charged*
-    per run; the device-resident state is rebuilt per run so every run is
-    measured from a cold pool.
+    per run.  The device-resident state is rebuilt, and charged, per run
+    so every run is measured from a cold pool; from a corpus's second
+    build on, the bytes it writes come from the analysis's
+    :class:`~repro.core.pruning.PoolImage` instead of being re-derived.
     """
 
     system_name = "ntadoc"

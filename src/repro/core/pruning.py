@@ -28,6 +28,10 @@ On-device layout::
 The ordered bodies are retained because pruning alone discards sequence
 information; the paper keeps sequence tasks correct via the head/tail
 preprocessing (Section IV-B last paragraph), which walks ordered bodies.
+
+A build first lays these bytes out offset-free in a :class:`PoolImage`,
+then :meth:`PrunedDag.install` places them; the engine keeps a corpus's
+image from its second build on (docs/cost_model.md, "The pool image").
 """
 
 from __future__ import annotations
