@@ -1101,10 +1101,16 @@ class SimulatedMemory:
             seals[line] = zlib.crc32(bytes(self._buf[start:stop])) or 1
 
     def _charge_flushed(self, lines: int) -> None:
-        """Charge ``lines`` flushed lines at the record's flush price."""
+        """Charge ``lines`` flushed lines at the record's flush price.
+
+        The price is media time, so it goes into ``stats.device_ns`` as
+        well as onto the clock.
+        """
         if lines:
-            self.clock.advance(lines * self._prices.flush)
+            cost = lines * self._prices.flush
+            self.clock.advance(cost)
             self.stats.flushed_lines += lines
+            self.stats.device_ns += cost
 
     def _miss(self, line: int, dirty: bool, fetch: bool = True) -> float:
         """The one miss rule: cache ``line``, return the ns it costs.

@@ -24,6 +24,7 @@ class MemoryStats:
     writebacks: int = 0
     flush_ops: int = 0
     flushed_lines: int = 0
+    #: Media time: line fetches, dirty write-backs and flushed lines.
     device_ns: float = 0.0
     #: Bytes CRC-sealed by the MediaGuard at pool flushes.
     seal_bytes: int = 0

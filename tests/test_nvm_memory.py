@@ -338,6 +338,15 @@ class TestFlushAndCrash:
         cost1 = mem.clock.ns - before
         assert cost4 == pytest.approx(4 * cost1)
 
+    def test_flushed_lines_count_as_device_time(self):
+        mem = make_nvm()
+        mem.write(0, b"x" * 256)  # a whole fresh line: allocate, no fetch
+        assert (mem.clock.ns, mem.stats.device_ns) == (1.0, 0.0)
+        mem.flush()
+        assert mem.stats.flushed_lines == 1
+        assert mem.clock.ns == 111.0
+        assert mem.stats.device_ns == 110.0
+
 
 class TestBackingFile:
     def test_persist_and_reload(self, tmp_path):
