@@ -37,6 +37,7 @@ image from its second build on (docs/cost_model.md, "The pool image").
 from __future__ import annotations
 
 import struct
+from array import array
 from itertools import chain
 
 from repro.core.dag import Dag, PrunedRule, prune_rule
@@ -150,8 +151,9 @@ class PoolImage:
         for regions placed at these offsets."""
         cols = typed_array(self.meta, 8)
         for col, base in ((0, dag_off), (1, raw_off)):
-            rebased = [base + off for off in cols[col::_META_WORDS]]
-            cols[col::_META_WORDS] = typed_array(pack_values(rebased, 8), 8)
+            cols[col::_META_WORDS] = array(
+                cols.typecode, [base + off for off in cols[col::_META_WORDS]]
+            )
         meta = pack_values(cols, 8)
         rows = [
             (record_off, fields[0], subs, words, fields[:-1])  # weight dropped
