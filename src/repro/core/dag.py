@@ -40,8 +40,9 @@ class PrunedRule:
         return 1.0 - self.pruned_length / self.raw_length
 
 
-def prune_rule(body: list[int]) -> PrunedRule:
-    """Algorithm 1's bucket pass: collapse a body into frequency lists.
+def _buckets(body: list[int]) -> tuple[dict[int, int], dict[int, int]]:
+    """Algorithm 1's bucket pass: a body's ``{subrule index: frequency}``
+    and ``{word id: frequency}`` maps, keyed in first-reference order.
 
     Separators carry no analytics weight and are dropped here (they remain
     available in the ordered body).
@@ -56,6 +57,12 @@ def prune_rule(body: list[int]) -> PrunedRule:
             subs[key] = sget(key, 0) + 1
         elif symbol < SEP_BASE:
             words[symbol] = wget(symbol, 0) + 1
+    return subs, words
+
+
+def prune_rule(body: list[int]) -> PrunedRule:
+    """Collapse a body into id-sorted frequency lists (Algorithm 1)."""
+    subs, words = _buckets(body)
     return PrunedRule(
         subrules=tuple(sorted(subs.items())),
         words=tuple(sorted(words.items())),
@@ -69,7 +76,7 @@ class Dag:
     Attributes:
         n_rules: Number of nodes.
         subrules: Per rule, its id-sorted ``(subrule index, multiplicity)``
-            pairs (:func:`prune_rule`'s bucket pass).
+            pairs (the bucket pass of :func:`prune_rule`).
         words: Per rule, its id-sorted ``(word id, multiplicity)`` pairs
             (separators excluded).
         in_degree: Number of distinct rules referencing each rule.
@@ -82,14 +89,22 @@ class Dag:
     def __init__(self, corpus: CompressedCorpus) -> None:
         self.corpus = corpus
         self.n_rules = corpus.n_rules
-        pruned = [prune_rule(body) for body in corpus.rules]
-        self.subrules = [rule.subrules for rule in pruned]
-        self.words = [rule.words for rule in pruned]
+        self.subrules: list[tuple[tuple[int, int], ...]] = []
+        self.words: list[tuple[tuple[int, int], ...]] = []
+        #: Per rule, its distinct subrules in the order its body first
+        #: references them.  The topological order, and with it every
+        #: charged access of a traversal, follows this order, not id order.
+        self._children: list[tuple[int, ...]] = []
+        for body in corpus.rules:
+            subs, words = _buckets(body)
+            self.subrules.append(tuple(sorted(subs.items())))
+            self.words.append(tuple(sorted(words.items())))
+            self._children.append(tuple(subs))
         self._topo_order: list[int] | None = None
-        self.out_degree = [len(subs) for subs in self.subrules]
+        self.out_degree = [len(children) for children in self._children]
         self.in_degree = [0] * self.n_rules
-        for subs in self.subrules:
-            for target, _ in subs:
+        for children in self._children:
+            for target in children:
                 self.in_degree[target] += 1
 
     # ------------------------------------------------------------------
@@ -112,18 +127,13 @@ class Dag:
         remaining = list(self.in_degree)
         queue = [r for r in range(self.n_rules) if remaining[r] == 0]
         order: list[int] = []
-        bodies = self.corpus.rules
+        children = self._children
         head = 0
         while head < len(queue):
             rule = queue[head]
             head += 1
             order.append(rule)
-            # Subrules in the order the body first references them, not
-            # id order: the traversal order, and with it every charged
-            # access, follows this order.
-            for target in dict.fromkeys(
-                symbol - RULE_BASE for symbol in bodies[rule] if symbol >= RULE_BASE
-            ):
+            for target in children[rule]:
                 remaining[target] -= 1
                 if remaining[target] == 0:
                     queue.append(target)
